@@ -9,7 +9,6 @@
 #include "solvers/gepp/mixed.hpp"
 #include "solvers/gepp/pdgesv.hpp"
 #include "solvers/ime/imep.hpp"
-#include "sparse/csr.hpp"
 #include "support/csv.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
@@ -102,14 +101,12 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
   config.placement = hw::make_placement(spec.ranks, spec.layout, machine);
 
   // Reference data for the residual check (numeric-tier sizes only): the
-  // dense generated system for the dense solvers, the sparse family for CG.
+  // dense generated system for the dense solvers. CG streams its sparse
+  // family through generated_residual instead of materializing it.
   const bool is_cg = spec.algorithm == perfsim::Algorithm::kCg;
   const linalg::Matrix a =
       is_cg ? linalg::Matrix(1, 1)
             : linalg::generate_system_matrix(spec.seed, spec.n);
-  const sparse::CsrMatrix sa =
-      is_cg ? sparse::generate_matrix(spec.matrix, spec.seed, spec.n)
-            : sparse::CsrMatrix{};
   const std::vector<double> b = linalg::generate_rhs(spec.seed, spec.n);
 
   JobResult result;
@@ -179,7 +176,8 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
           });
       if (world.rank() == 0) {
         rr.measurement = measurement;
-        rr.residual = is_cg ? sparse::scaled_residual(sa, x, b)
+        rr.residual = is_cg ? sparse::generated_residual(
+                                  spec.matrix, spec.seed, spec.n, x, b)
                             : linalg::scaled_residual(a.view(), x, b);
       }
     });

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "sparse/csr.hpp"
@@ -52,19 +53,33 @@ inline constexpr std::size_t kRandomHalfWidth = 32;
 /// SpMV kernel full blocks (docs/sparse.md).
 inline constexpr std::size_t kDiagBlock = 64;
 
+/// Rows per block of the streamed consumers below (generated_residual,
+/// pattern_nnz): their memory is bounded by one block, not by n.
+inline constexpr std::size_t kStreamBlockRows = 4096;
+
 /// Rows [row_lo, row_hi) of the global n x n system, with global column
 /// indices and a local row_ptr starting at 0 — what each CG rank builds
-/// for its block. Rows come out sorted and duplicate-free.
+/// for its block. Rows come out sorted and duplicate-free (ascending by
+/// construction, docs/sparse.md). Throws InvalidArgument when n exceeds
+/// the 32-bit column index range.
 CsrMatrix generate_rows(SparseKind kind, std::uint64_t seed, std::size_t n,
                         std::size_t row_lo, std::size_t row_hi);
 
 /// The full system (numeric-tier scale only).
 CsrMatrix generate_matrix(SparseKind kind, std::uint64_t seed, std::size_t n);
 
+/// scaled_residual(generate_matrix(kind, seed, n), x, b), bit for bit,
+/// without materializing the matrix: rows stream through generate_rows and
+/// spmv in blocks of kStreamBlockRows. Throws InvalidArgument when n
+/// exceeds the 32-bit column index range.
+double generated_residual(SparseKind kind, std::uint64_t seed, std::size_t n,
+                          std::span<const double> x,
+                          std::span<const double> b);
+
 /// Exact nnz of the n x n pattern — a pure function of (kind, n) (the
-/// random family's pattern is seed-independent by design). O(nnz) count,
-/// no allocation; shared by the executing solver's reports and the
-/// analytic replay's traffic pricing.
+/// random family's pattern is seed-independent by design). O(n) count in
+/// blocks of kStreamBlockRows rows; shared by the executing solver's
+/// reports and the analytic replay's traffic pricing.
 std::size_t pattern_nnz(SparseKind kind, std::size_t n);
 
 /// Largest column distance |i - j| any entry of the pattern can span —

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -77,35 +78,46 @@ CsrMatrix load_matrix_market(std::istream& in) {
     throw IoError("mtx: malformed size line: " + line);
   }
 
+  if (cols > std::numeric_limits<std::uint32_t>::max()) {
+    throw IoError("mtx: column count exceeds the 32-bit index range: " +
+                  line);
+  }
+
   CsrMatrix a = make_empty(rows, cols);
   // Assemble unordered triplets into per-row buckets via a counting pass.
-  std::vector<std::uint64_t> ri(entries, 0);
-  std::vector<std::uint64_t> rj(entries, 0);
-  std::vector<double> rv(entries, 0.0);
+  // The header's entry count is untrusted, so the triplets grow as entries
+  // arrive rather than being sized from it.
+  std::vector<std::uint64_t> ri;
+  std::vector<std::uint64_t> rj;
+  std::vector<double> rv;
   for (std::uint64_t e = 0; e < entries; ++e) {
     if (!next_data_line(in, line)) {
       throw IoError("mtx: truncated entry list");
     }
+    std::uint64_t i = 0;
+    std::uint64_t j = 0;
     double value = 0.0;
-    if (std::sscanf(line.c_str(), "%" SCNu64 " %" SCNu64 " %lf", &ri[e],
-                    &rj[e], &value) != 3) {
+    if (std::sscanf(line.c_str(), "%" SCNu64 " %" SCNu64 " %lf", &i, &j,
+                    &value) != 3) {
       throw IoError("mtx: malformed entry: " + line);
     }
-    if (ri[e] < 1 || ri[e] > rows || rj[e] < 1 || rj[e] > cols) {
+    if (i < 1 || i > rows || j < 1 || j > cols) {
       throw IoError("mtx: coordinate out of range: " + line);
     }
-    rv[e] = value;
+    ri.push_back(i);
+    rj.push_back(j);
+    rv.push_back(value);
   }
 
   std::vector<std::size_t> counts(rows, 0);
-  for (std::uint64_t e = 0; e < entries; ++e) ++counts[ri[e] - 1];
+  for (const std::uint64_t i : ri) ++counts[i - 1];
   for (std::size_t r = 0; r < rows; ++r) {
     a.row_ptr[r + 1] = a.row_ptr[r] + counts[r];
   }
-  a.col_idx.resize(entries);
-  a.values.resize(entries);
+  a.col_idx.resize(rv.size());
+  a.values.resize(rv.size());
   std::vector<std::size_t> cursor(a.row_ptr.begin(), a.row_ptr.end() - 1);
-  for (std::uint64_t e = 0; e < entries; ++e) {
+  for (std::size_t e = 0; e < rv.size(); ++e) {
     const std::size_t slot = cursor[ri[e] - 1]++;
     a.col_idx[slot] = static_cast<std::uint32_t>(rj[e] - 1);
     a.values[slot] = rv[e];

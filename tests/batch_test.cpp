@@ -674,6 +674,23 @@ TEST(RunnerTest, MixedPrecisionJobRunsGeppMixed) {
   EXPECT_GT(record.repetitions[0].residual, 0.0);
 }
 
+TEST(RunnerTest, CgRecordResidualIsPinned) {
+  // The residual check streams the reference system in row blocks (three
+  // here, the last partial) instead of materializing it. Its bits are those
+  // the full-matrix check recorded, under the default CG path and kernel.
+  JobSpec spec;
+  spec.machine = "mini:8x4";
+  spec.algorithm = perfsim::Algorithm::kCg;
+  spec.matrix = sparse::SparseKind::kRandom;
+  spec.n = 10000;
+  spec.ranks = 4;
+  spec.seed = 3;
+  const JobRecord record = execute_job(spec);
+  ASSERT_EQ(record.repetitions.size(), 1u);
+  EXPECT_EQ(record.repetitions[0].cg_iters, 37);
+  EXPECT_EQ(record.repetitions[0].residual, 0x1.d1380fdb3e479p-51);
+}
+
 TEST(RunnerTest, MixedPrecisionRejectsNonGeppAlgorithms) {
   JobSpec spec;
   spec.machine = "mini:8x4";

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "sparse/csr.hpp"
@@ -163,6 +164,8 @@ TEST_P(GeneratorParam, SymmetricDiagonallyDominantAndCountable) {
   EXPECT_EQ(a.rows, n);
   EXPECT_EQ(a.cols, n);
   EXPECT_EQ(a.nnz(), pattern_nnz(kind, n));
+  // pattern_nnz counts in blocks of kStreamBlockRows; span several.
+  EXPECT_EQ(generate_matrix(kind, 7, 36864).nnz(), pattern_nnz(kind, 36864));
 
   for (std::size_t i = 0; i < n; ++i) {
     double offdiag = 0.0;
@@ -233,6 +236,116 @@ TEST(GeneratorTest, BlockDiagCouplesOnlyInsideAlignedBlocks) {
   // Tiny matrices degenerate to a single dense block.
   EXPECT_EQ(pattern_reach(SparseKind::kBlockDiag, 5), 4u);
   EXPECT_EQ(pattern_nnz(SparseKind::kBlockDiag, 5), 25u);
+}
+
+/// FNV-1a 64 folded over the bytes of `v`.
+template <typename T>
+std::uint64_t fnv1a(std::uint64_t h, const std::vector<T>& v) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct GeneratorPin {
+  SparseKind kind;
+  std::size_t n;
+  std::uint64_t digest;
+};
+
+// Digests of the generator's output as first released, before the row
+// emitter replaced the per-row pattern walk: seeds 3 and 1234567, each as
+// the uneven row blocks [0, n/7), [n/7, 3n/5), [3n/5, n), with row_ptr,
+// col_idx and value bytes folded in that order.
+constexpr GeneratorPin kGeneratorPins[] = {
+    {SparseKind::kStencil5, 1, 0x1223d818f4b1dd05ULL},
+    {SparseKind::kStencil5, 64, 0x3c1ff9d49d222aa5ULL},
+    {SparseKind::kStencil5, 90, 0x22f1d7fc48329d65ULL},
+    {SparseKind::kStencil5, 4097, 0x8951c59e27ebb121ULL},
+    {SparseKind::kStencil5, 36864, 0xefce01191f8fff55ULL},
+    {SparseKind::kStencil9, 1, 0x1223d818f4b1dd05ULL},
+    {SparseKind::kStencil9, 64, 0x63c7909755415325ULL},
+    {SparseKind::kStencil9, 90, 0x6e122f82614589cdULL},
+    {SparseKind::kStencil9, 4097, 0x16c1d0091cc42ef1ULL},
+    {SparseKind::kStencil9, 36864, 0xa0c0a4649bfc9269ULL},
+    {SparseKind::kStencil27, 1, 0x1223d818f4b1dd05ULL},
+    {SparseKind::kStencil27, 64, 0xa058e24ba6c24929ULL},
+    {SparseKind::kStencil27, 90, 0x270488dd93c7ed41ULL},
+    {SparseKind::kStencil27, 4097, 0x4752e845fa41aeb9ULL},
+    {SparseKind::kStencil27, 36864, 0x9071b46981207375ULL},
+    {SparseKind::kBanded, 1, 0x1223d818f4b1dd05ULL},
+    {SparseKind::kBanded, 64, 0xc1754bb16ba73742ULL},
+    {SparseKind::kBanded, 90, 0xe88e01223517e723ULL},
+    {SparseKind::kBanded, 4097, 0x32a259e2c7dc5a3dULL},
+    {SparseKind::kBanded, 36864, 0x79dde52599471fa9ULL},
+    {SparseKind::kRandom, 1, 0x1223d818f4b1dd05ULL},
+    {SparseKind::kRandom, 64, 0xb85d59cdb5d2fc2bULL},
+    {SparseKind::kRandom, 90, 0x2940f60ebc411f1eULL},
+    {SparseKind::kRandom, 4097, 0x3fd1bb29896953c7ULL},
+    {SparseKind::kRandom, 36864, 0xb8bdc6cd91265dbeULL},
+    {SparseKind::kBlockDiag, 1, 0x1223d818f4b1dd05ULL},
+    {SparseKind::kBlockDiag, 64, 0xf9525330a498d9a7ULL},
+    {SparseKind::kBlockDiag, 90, 0x492f5798432111dcULL},
+    {SparseKind::kBlockDiag, 4097, 0xbadace4937018023ULL},
+    {SparseKind::kBlockDiag, 36864, 0x740f93016f01cd17ULL},
+};
+
+TEST(GeneratorTest, RowBlocksMatchPinnedDigests) {
+  for (const GeneratorPin& pin : kGeneratorPins) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::uint64_t seed : {3ULL, 1234567ULL}) {
+      const std::size_t cuts[] = {0, pin.n / 7, pin.n * 3 / 5, pin.n};
+      for (int b = 0; b < 3; ++b) {
+        const CsrMatrix block =
+            generate_rows(pin.kind, seed, pin.n, cuts[b], cuts[b + 1]);
+        h = fnv1a(h, block.row_ptr);
+        h = fnv1a(h, block.col_idx);
+        h = fnv1a(h, block.values);
+      }
+    }
+    EXPECT_EQ(h, pin.digest) << kind_token(pin.kind) << " n=" << pin.n;
+  }
+}
+
+TEST(GeneratorTest, RejectsSystemsBeyond32BitColumns) {
+  const std::size_t widest = std::numeric_limits<std::uint32_t>::max();
+  // The last row of the widest system keeps its top column exactly.
+  const CsrMatrix last =
+      generate_rows(SparseKind::kBanded, 1, widest, widest - 1, widest);
+  EXPECT_EQ(last.col_idx.back(), widest - 1);
+  EXPECT_THROW((void)generate_rows(SparseKind::kStencil5, 1, widest + 1, 0, 0),
+               InvalidArgument);
+  const std::vector<double> one(1, 1.0);
+  EXPECT_THROW(
+      (void)generated_residual(SparseKind::kBanded, 1, widest + 1, one, one),
+      InvalidArgument);
+}
+
+TEST(GeneratorTest, GeneratedResidualMatchesFullMatrixBitwise) {
+  // n = 1, inside one stream block, and a partial last block.
+  const std::size_t sizes[] = {1, 777, 2 * kStreamBlockRows + 123};
+  for (const SpmvKernel kernel : {SpmvKernel::kScalar, SpmvKernel::kSimd}) {
+    SpmvConfig config;
+    config.kernel = kernel;
+    set_spmv_config(config);
+    for (const SparseKind kind :
+         {SparseKind::kStencil5, SparseKind::kStencil9, SparseKind::kStencil27,
+          SparseKind::kBanded, SparseKind::kRandom, SparseKind::kBlockDiag}) {
+      for (const std::size_t n : sizes) {
+        std::vector<double> x(n);
+        std::vector<double> b(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          x[i] = 1.0 + 0.5 * std::sin(static_cast<double>(i) * 0.7);
+          b[i] = std::cos(static_cast<double>(i) * 0.3);
+        }
+        EXPECT_EQ(generated_residual(kind, 9, n, x, b),
+                  scaled_residual(generate_matrix(kind, 9, n), x, b))
+            << kernel_token(kernel) << " " << kind_token(kind) << " n=" << n;
+      }
+    }
+  }
+  reset_spmv_config();
 }
 
 TEST(GeneratorTest, RandomPatternIsSeedIndependent) {
@@ -409,6 +522,20 @@ TEST(MatrixMarketTest, ReaderRejectsGarbage) {
       "2 2 2\n"
       "1 1 1.0\n");
   EXPECT_THROW((void)load_matrix_market(truncated), IoError);
+
+  // Column 2^32 + 1 would wrap to 0 in the 32-bit index stream.
+  std::istringstream wide(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "1 4294967297 1\n"
+      "1 4294967297 1.0\n");
+  EXPECT_THROW((void)load_matrix_market(wide), IoError);
+
+  // An absurd entry count must not be allocated up front.
+  std::istringstream huge_count(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "1 1 1000000000000\n"
+      "1 1 2.0\n");
+  EXPECT_THROW((void)load_matrix_market(huge_count), IoError);
 }
 
 }  // namespace
