@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "hwmodel/placement.hpp"
@@ -64,10 +65,12 @@ bool bitwise_equal(const std::vector<double>& a,
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
+// No padding: gtest names each case by the bytes of its parameter.
 struct MixedCase {
   std::size_t n;
-  int ranks;
+  std::size_t ranks;
 };
+static_assert(std::has_unique_object_representations_v<MixedCase>);
 
 class GeppMixedParam : public ::testing::TestWithParam<MixedCase> {};
 

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <type_traits>
 
 #include "hwmodel/placement.hpp"
 #include "linalg/generate.hpp"
@@ -27,10 +28,14 @@ xmpi::RunConfig mini_config(int ranks) {
   return config;
 }
 
+// gtest names each case by the bytes of its parameter, so the struct must
+// have no padding: indeterminate padding bytes would rename the case on
+// every build.
 struct ParallelCase {
   std::size_t n;
-  int ranks;
+  std::size_t ranks;
 };
+static_assert(std::has_unique_object_representations_v<ParallelCase>);
 
 class PdgesvParam : public ::testing::TestWithParam<ParallelCase> {};
 
