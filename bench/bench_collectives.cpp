@@ -45,7 +45,6 @@ xmpi::RunConfig harness_config(int ranks, xmpi::CollectiveMode collectives,
   config.machine = hw::mini_cluster(std::max(nodes, 1), kCoresPerSocket);
   config.placement = hw::make_placement(ranks, hw::LoadLayout::kFullLoad,
                                         config.machine);
-  config.executor = xmpi::ExecutorKind::kWorkerPool;
   config.transport.collectives = collectives;
   config.transport.pool = pool;
   return config;

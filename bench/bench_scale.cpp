@@ -62,7 +62,6 @@ xmpi::RunConfig scale_config(int ranks) {
   config.machine = hw::mini_cluster(std::max(nodes, 1), kCoresPerSocket);
   config.placement =
       hw::make_placement(ranks, hw::LoadLayout::kFullLoad, config.machine);
-  config.executor = xmpi::ExecutorKind::kWorkerPool;
   // The whole point of this harness: the scalable schedule family at a
   // non-power-of-two rank count.
   config.transport.collectives = xmpi::CollectiveMode::kScalable;

@@ -2,11 +2,11 @@
 // load-bearing properties.
 //
 //   1. determinism — the campaign point (CG on the numeric tier, white-box
-//      monitor, mini cluster) re-run across host worker counts, the
-//      thread-per-rank executor and the scalable collective schedules must
+//      monitor, mini cluster) re-run across host worker counts (up to one
+//      worker per rank) and the scalable collective schedules must
 //      reproduce the solution bit pattern and iteration count exactly;
-//      host knobs (workers, executor) must not move the virtual duration or
-//      energy either (the xmpi contract every solver honors).
+//      the worker count must not move the virtual duration or energy
+//      either (the xmpi contract every solver honors).
 //   2. memory-boundedness — at the smoke point the modeled SpMV DRAM-byte
 //      term must dominate the flop term (that is the entire reason the
 //      family exists next to the compute-bound dense verticals): with
@@ -140,9 +140,9 @@ bool check_determinism(std::size_t n, int ranks, std::string* detail) {
   const Variant variants[] = {
       {"workers=5",
        run_once(config([](xmpi::RunConfig& c) { c.workers = 5; }), n), true},
-      {"threads",
-       run_once(config([](xmpi::RunConfig& c) {
-                  c.executor = xmpi::ExecutorKind::kThreadPerRank;
+      {"workers=ranks",
+       run_once(config([ranks](xmpi::RunConfig& c) {
+                  c.workers = static_cast<std::size_t>(ranks);
                 }),
                 n),
        true},
@@ -273,8 +273,7 @@ int main(int argc, char** argv) {
   std::string detail;
   const bool bit_identical = check_determinism(256, kRanks, &detail);
   std::printf("  determinism: %s\n",
-              bit_identical ? "bit-identical across workers / executors / "
-                              "collectives"
+              bit_identical ? "bit-identical across workers / collectives"
                             : detail.c_str());
 
   if (!write_json(out_path, smoke, results, bytes_per_flop, dominance_ratio,

@@ -2,18 +2,14 @@
 //
 // Default mode runs the regression harness: it sweeps paper-scale rank
 // counts over runtime-dominated workloads (world spawn, spawn+collectives,
-// ring point-to-point, wildcard gather) under BOTH executors — the bounded
-// worker pool and the retained thread-per-rank baseline — prints a host
+// ring point-to-point, wildcard gather) on the worker pool, prints a host
 // wall-clock table and writes machine-readable `BENCH_xmpi.json`
 // (mirroring BENCH_kernels.json) so runtime performance has a recorded
-// trajectory. Simulated outputs are bit-identical across executors, so
-// only host seconds are compared.
+// trajectory.
 //
 // Flags:
 //   --smoke         small rank counts (CI smoke mode)
 //   --out=PATH      JSON output path (default BENCH_xmpi.json)
-//   --check         exit nonzero unless the pool beats thread-per-rank on
-//                   the largest spawn+collective case measured with both
 //   --gbench        run the original google-benchmark microbenchmarks
 //                   (remaining argv is passed through to the library)
 #include <benchmark/benchmark.h>
@@ -38,7 +34,7 @@ using namespace plin;
 
 // ---- regression harness ----------------------------------------------------
 
-xmpi::RunConfig harness_config(int ranks, xmpi::ExecutorKind executor) {
+xmpi::RunConfig harness_config(int ranks) {
   // Fully loaded mini-cluster nodes (2 sockets x 8 cores), just enough
   // nodes to hold the rank count — 1296 ranks ⇒ 81 nodes, the paper's
   // largest campaign scale.
@@ -48,7 +44,6 @@ xmpi::RunConfig harness_config(int ranks, xmpi::ExecutorKind executor) {
   config.machine = hw::mini_cluster(std::max(nodes, 1), kCoresPerSocket);
   config.placement = hw::make_placement(ranks, hw::LoadLayout::kFullLoad,
                                         config.machine);
-  config.executor = executor;
   return config;
 }
 
@@ -125,7 +120,6 @@ struct HarnessResult {
   std::string workload;
   int ranks = 0;
   double pool_s = 0.0;
-  double threads_s = 0.0;  // 0 ⇒ baseline skipped at this scale
   std::size_t pool_workers = 0;
   // Payload-pool behaviour of one run (last timed repetition): misses are
   // actual heap allocations, hits are recycled buffers, peak is the high
@@ -137,21 +131,14 @@ struct HarnessResult {
   // monotonic across the whole sweep and so attribute the largest earlier
   // case to every later row.
   std::uint64_t peak_rss_bytes = 0;
-
-  bool has_baseline() const { return threads_s > 0.0; }
-  double speedup() const {
-    return has_baseline() && pool_s > 0.0 ? threads_s / pool_s : 0.0;
-  }
 };
 
-HarnessResult measure(const WorkloadSpec& spec, int ranks,
-                      bool run_thread_baseline) {
+HarnessResult measure(const WorkloadSpec& spec, int ranks) {
   HarnessResult result;
   result.workload = spec.name;
   result.ranks = ranks;
 
-  const xmpi::RunConfig pool_config =
-      harness_config(ranks, xmpi::ExecutorKind::kWorkerPool);
+  const xmpi::RunConfig pool_config = harness_config(ranks);
   std::size_t workers = 0;
   {
     plin::bench::RssSampler rss;
@@ -167,16 +154,6 @@ HarnessResult measure(const WorkloadSpec& spec, int ranks,
     result.peak_rss_bytes = rss.peak_bytes();
   }
   result.pool_workers = workers;
-
-  if (run_thread_baseline) {
-    const xmpi::RunConfig threads_config =
-        harness_config(ranks, xmpi::ExecutorKind::kThreadPerRank);
-    result.threads_s = best_seconds([&] {
-      const xmpi::RunResult run = xmpi::Runtime::run(threads_config,
-                                                     spec.body);
-      benchmark::DoNotOptimize(run.duration_s);
-    });
-  }
   return result;
 }
 
@@ -203,50 +180,29 @@ bool write_json(const std::string& path, bool smoke,
         << ", \"pool_hits\": " << r.pool_hits
         << ", \"peak_payload_bytes\": " << r.peak_payload_bytes
         << ", \"peak_rss_bytes\": " << r.peak_rss_bytes
-        << ", \"pool_s\": " << fmt(r.pool_s) << ", \"threads_s\": ";
-    if (r.has_baseline()) {
-      out << fmt(r.threads_s) << ", \"speedup\": " << fmt(r.speedup());
-    } else {
-      out << "null, \"speedup\": null";
-    }
-    out << "}";
+        << ", \"pool_s\": " << fmt(r.pool_s) << "}";
   }
   out << "\n  ]\n}\n";
   return static_cast<bool>(out.flush());
 }
 
-int run_harness(bool smoke, bool check, const std::string& out_path) {
-  // Paper campaign scales; the thread-per-rank baseline is skipped above
-  // 576 ranks (the point of the pool is that 1296 host threads are not a
-  // reasonable execution vehicle — the 1296-rank rows demonstrate the
-  // pool completing where the baseline oversubscribes the host ~100x).
+int run_harness(bool smoke, const std::string& out_path) {
+  // Paper campaign scales (1296 ranks on N host workers).
   const std::vector<int> rank_counts =
       smoke ? std::vector<int>{48, 144} : std::vector<int>{144, 576, 1296};
-  const int baseline_cap = smoke ? 144 : 576;
 
   std::vector<HarnessResult> results;
   for (const WorkloadSpec& spec : kWorkloads) {
     for (const int ranks : rank_counts) {
-      results.push_back(measure(spec, ranks, ranks <= baseline_cap));
+      results.push_back(measure(spec, ranks));
     }
   }
 
-  std::printf("%-18s %6s %8s | %12s %12s %8s\n", "workload", "ranks",
-              "workers", "pool s", "threads s", "speedup");
-  const HarnessResult* gate = nullptr;
+  std::printf("%-18s %6s %8s | %12s\n", "workload", "ranks", "workers",
+              "pool s");
   for (const HarnessResult& r : results) {
-    if (r.has_baseline()) {
-      std::printf("%-18s %6d %8zu | %12.6f %12.6f %7.2fx\n",
-                  r.workload.c_str(), r.ranks, r.pool_workers, r.pool_s,
-                  r.threads_s, r.speedup());
-    } else {
-      std::printf("%-18s %6d %8zu | %12.6f %12s %8s\n", r.workload.c_str(),
-                  r.ranks, r.pool_workers, r.pool_s, "-", "-");
-    }
-    if (r.workload == "spawn+collective" && r.has_baseline() &&
-        (gate == nullptr || r.ranks > gate->ranks)) {
-      gate = &r;
-    }
+    std::printf("%-18s %6d %8zu | %12.6f\n", r.workload.c_str(), r.ranks,
+                r.pool_workers, r.pool_s);
   }
 
   if (!write_json(out_path, smoke, results)) {
@@ -254,14 +210,6 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
     return 1;
   }
   std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (check && gate != nullptr && gate->speedup() < 1.0) {
-    std::fprintf(stderr,
-                 "FAIL: worker pool (%.6f s) slower than thread-per-rank "
-                 "(%.6f s) on spawn+collective at %d ranks\n",
-                 gate->pool_s, gate->threads_s, gate->ranks);
-    return 1;
-  }
   return 0;
 }
 
@@ -380,15 +328,12 @@ BENCHMARK(BM_CommSplit);
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool check = false;
   bool gbench = false;
   std::string out_path = "BENCH_xmpi.json";
   std::vector<char*> passthrough = {argv[0]};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
     } else if (std::strcmp(argv[i], "--gbench") == 0) {
@@ -412,10 +357,10 @@ int main(int argc, char** argv) {
   // silently running a different sweep than the user asked for.
   if (passthrough.size() > 1) {
     std::fprintf(stderr,
-                 "error: unknown argument '%s' (expected --smoke --check "
+                 "error: unknown argument '%s' (expected --smoke "
                  "--out=PATH --gbench)\n",
                  passthrough[1]);
     return 2;
   }
-  return run_harness(smoke, check, out_path);
+  return run_harness(smoke, out_path);
 }

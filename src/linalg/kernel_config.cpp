@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <string>
 
 namespace plin::linalg {
 namespace {
@@ -57,9 +56,6 @@ KernelConfig KernelConfig::from_env() {
   config.nr = env_size("PLIN_GEMM_NR", config.nr);
   config.trsm_block = env_size("PLIN_TRSM_NB", config.trsm_block);
   config.ger_block = env_size("PLIN_GER_NB", config.ger_block);
-  if (const char* path = std::getenv("PLIN_KERNEL_PATH")) {
-    config.blocked = std::string(path) != "naive";
-  }
   return config;
 }
 

@@ -12,11 +12,10 @@
 //   PLIN_GEMM_MR / PLIN_GEMM_NR                  register tile
 //   PLIN_TRSM_NB                                 TRSM diagonal block size
 //   PLIN_GER_NB                                  dger column tile
-//   PLIN_KERNEL_PATH=naive|blocked               force a kernel path
 //
 // None of these knobs affect the flop counts the solvers charge to xmpi's
-// virtual clock: simulated durations/energy are invariant under the host
-// kernel path (the engine only changes host wall-clock).
+// virtual clock: simulated durations/energy are invariant under them (the
+// engine only changes host wall-clock).
 #pragma once
 
 #include <cstddef>
@@ -35,8 +34,6 @@ struct KernelConfig {
   std::size_t trsm_block = 64;
   // Column tile for the rank-1 update (keeps the y chunk cache-resident).
   std::size_t ger_block = 2048;
-  // When false every kernel routes to the retained naive reference path.
-  bool blocked = true;
 
   /// Compiled-in defaults (ISA-appropriate register tile, no env).
   static KernelConfig defaults();

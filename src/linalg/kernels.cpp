@@ -101,7 +101,7 @@ void ger(T alpha, std::span<const T> x, std::span<const T> y, BasicView<T> a) {
                  "dger shape mismatch");
   const KernelConfig& cfg = active_kernel_config();
   const std::size_t n = y.size();
-  const std::size_t jb = cfg.blocked ? cfg.ger_block : n;
+  const std::size_t jb = cfg.ger_block;
   const std::size_t stride = a.stride();
   T* const base = a.data();
   // Column tiles: the y chunk (and the C tile's cache lines) stay resident
@@ -460,13 +460,12 @@ template <typename T>
 void gemm(T alpha, BasicView<const T> a, BasicView<const T> b, T beta,
           BasicView<T> c) {
   check_gemm_shapes<T>(a, b, c);
-  const KernelConfig& cfg = active_kernel_config();
   // Tiny products do not amortize the packing passes; route them to the
   // naive path (identical contract, only rounding of partial sums differs).
   const double work = 2.0 * static_cast<double>(c.rows()) *
                       static_cast<double>(c.cols()) *
                       static_cast<double>(a.cols());
-  if (!cfg.blocked || work < 16384.0) {
+  if (work < 16384.0) {
     gemm_naive<T>(alpha, a, b, beta, c);
   } else {
     gemm_blocked<T>(alpha, a, b, beta, c);
@@ -579,7 +578,7 @@ void trsm_lower_unit_blocked(BasicView<const T> l, BasicView<T> b) {
 template <typename T>
 void trsm_lower_unit(BasicView<const T> l, BasicView<T> b) {
   const KernelConfig& cfg = active_kernel_config();
-  if (!cfg.blocked || l.rows() <= cfg.trsm_block) {
+  if (l.rows() <= cfg.trsm_block) {
     trsm_lower_unit_naive<T>(l, b);
   } else {
     trsm_lower_unit_blocked<T>(l, b);
@@ -637,7 +636,7 @@ void trsm_upper_blocked(BasicView<const T> u, BasicView<T> b) {
 template <typename T>
 void trsm_upper(BasicView<const T> u, BasicView<T> b) {
   const KernelConfig& cfg = active_kernel_config();
-  if (!cfg.blocked || u.rows() <= cfg.trsm_block) {
+  if (u.rows() <= cfg.trsm_block) {
     trsm_upper_naive<T>(u, b);
   } else {
     trsm_upper_blocked<T>(u, b);

@@ -7,13 +7,14 @@
 //     MR x NR register-tiled micro-kernel; the triangular solves invert
 //     small diagonal blocks and push the bulk through GEMM; dger tiles its
 //     columns. Block sizes come from KernelConfig (kernel_config.hpp).
-//   * the retained naive reference path (`*_naive`), used for testing, for
-//     the perf-regression harness, and via PLIN_KERNEL_PATH=naive.
+//   * the naive reference kernels (`*_naive`): the test oracles and the
+//     perf harness baseline, and the target the dispatchers pick for
+//     problems too small to amortize packing.
 //
 // Each kernel documents its flop count; the distributed solvers charge
 // those counts to xmpi's virtual clock via Comm::compute. Charged flops are
 // a property of the documented formulas, NOT of the host path executed, so
-// simulated durations/energy/traffic are identical under either path.
+// simulated durations/energy/traffic do not depend on which kernel ran.
 //
 // IEEE semantics: no kernel short-circuits on zero operands, so NaN and Inf
 // propagate exactly as the arithmetic dictates (0 * Inf = NaN is produced,
@@ -136,8 +137,8 @@ void dger(double alpha, std::span<const double> x, std::span<const double> y,
           MatrixView a);
 
 /// C = alpha * A * B + beta * C.
-/// Dispatches to the packed blocked engine (or the naive path when the
-/// active KernelConfig says so / the problem is tiny).
+/// Dispatches to the packed blocked engine, or to the naive kernel when the
+/// product is too small to amortize packing.
 /// Flops: 2 * M * N * K (+ M*N for the beta scaling).
 void dgemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
            MatrixView c);
@@ -156,8 +157,8 @@ void dtrsm_upper(ConstMatrixView u, MatrixView b);
 // ---- forced-path entry points ----------------------------------------------
 // The naive references are the original triple-loop kernels (kept honest:
 // no zero-skip branches). The *_blocked entry points always run the engine
-// regardless of the active config's `blocked` flag or size heuristics —
-// the tests and the perf harness compare the two directly.
+// regardless of the size heuristics — the tests and the perf harness
+// compare the two directly.
 
 void dgemm_naive(double alpha, ConstMatrixView a, ConstMatrixView b,
                  double beta, MatrixView c);

@@ -1,5 +1,5 @@
 // Analytic replay of the distributed CG solver (see solvers/cg/cg.cpp for
-// the executed twin, default kFused path). Each iteration prices the
+// the executed twin and its one iteration shape). Each iteration prices the
 // overlapped halo — max(halo exchange, interior SpMV) followed by the
 // boundary-row SpMV — then the fused small-vector allreduce that carries
 // the iteration's dot products in one latency round, and the axpy updates.
@@ -69,8 +69,8 @@ Prediction predict_cg(const hw::MachineSpec& machine,
   // Per iteration, on the critical path:
   //   halo — each boundary rank trades ghost values with both neighbors;
   //     the ghost count per side is the pattern's reach clipped to the
-  //     block (a rank cannot need more ghosts than a neighbor owns). With
-  //     the overlapped path the exchange hides behind the interior SpMV;
+  //     block (a rank cannot need more ghosts than a neighbor owns). The
+  //     overlapped exchange hides behind the interior SpMV;
   const double ghost_vals = static_cast<double>(
       std::min(sparse::pattern_reach(kind, n), chunk));
   const double t_halo =
@@ -128,8 +128,8 @@ Prediction predict_cg(const hw::MachineSpec& machine,
 
   const double t_iter = t_spmv_phase + t_fused_pass + t_round_fused +
                         t_axpy + t_z;
-  // Setup rounds (||b||, the nnz reduction, and r.z under Jacobi) ride the
-  // scalar allreduce path.
+  // Setup rounds (||b||, the nnz reduction, and r.z under Jacobi) are
+  // scalar allreduces.
   const double setup_rounds = jacobi ? 3.0 : 2.0;
   T += setup_rounds * (t_dot + t_round_scalar);
   T += static_cast<double>(iterations) * t_iter;

@@ -4,7 +4,7 @@
 //
 // All three are pure functions of TraceData, iterate ranks in world-rank
 // order and spans in program order, and therefore produce byte-identical
-// results across executors and worker counts.
+// results across worker counts.
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,7 @@
 //
 // Every number is formatted with json::format_number and every string is
 // escaped through the json serializer, so for a given job spec the bytes
-// are identical across executors and worker counts — the property the CI
+// are identical across worker counts — the property the CI
 // trace-diff job and prof_test assert.
 #pragma once
 

@@ -14,7 +14,7 @@ namespace {
 /// gigabytes before a single span is recorded. Rings are leased here on
 /// first use, handed back (capacity intact) by take()/destruction, and
 /// only kMaxPooledRings vectors are cached so the pool itself stays
-/// bounded. With the worker-pool executor only ~workers ranks record
+/// bounded. With the worker pool only ~workers ranks record
 /// concurrently, so the same few rings serve the whole run.
 class RingPool {
  public:

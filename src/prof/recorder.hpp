@@ -12,7 +12,7 @@
 //
 // The span ring drops the *oldest* spans on overflow — a deterministic
 // program-order eviction, so an overflowing trace is still byte-identical
-// across executors. Phase brackets and per-peer counters live outside the
+// across worker counts. Phase brackets and per-peer counters live outside the
 // ring and are never dropped.
 #pragma once
 

@@ -15,7 +15,7 @@
 //
 // All timestamps are virtual seconds. Nothing here depends on the host
 // scheduler, so the collected TraceData — and every canonical export built
-// from it — is byte-identical across executors and worker counts
+// from it — is byte-identical across worker counts
 // (docs/tracing.md).
 #pragma once
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "hwmodel/sparse.hpp"
 #include "linalg/generate.hpp"
@@ -22,14 +21,6 @@ double dot_span(std::span<const double> a, std::span<const double> b) {
   double sum = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
   return sum;
-}
-
-CgPath resolve_path(CgPath path) {
-  if (path != CgPath::kAuto) return path;
-  if (const char* raw = std::getenv("PLIN_CG_PATH")) {
-    if (*raw != '\0') return parse_path_token(raw);
-  }
-  return CgPath::kFused;
 }
 
 /// 1 / diag(A) for the owned rows; `col_of(li)` maps a local row to the
@@ -56,24 +47,6 @@ std::vector<double> inverse_diagonal(const sparse::CsrMatrix& a,
 }
 
 }  // namespace
-
-const char* path_token(CgPath path) {
-  switch (path) {
-    case CgPath::kBlocking: return "blocking";
-    case CgPath::kOverlap: return "overlap";
-    case CgPath::kAuto:
-    case CgPath::kFused: break;
-  }
-  return "fused";
-}
-
-CgPath parse_path_token(const std::string& token) {
-  if (token == "blocking") return CgPath::kBlocking;
-  if (token == "overlap") return CgPath::kOverlap;
-  if (token == "fused") return CgPath::kFused;
-  throw InvalidArgument(
-      "unknown cg path (use blocking | overlap | fused): " + token);
-}
 
 CgResult solve_cg(const sparse::CsrMatrix& a, const std::vector<double>& b,
                   double tolerance, int max_iterations, CgPrecond precond) {
@@ -158,9 +131,6 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   PLIN_CHECK_MSG(n > 0, "cg: system dimension must be positive");
   PLIN_CHECK_MSG(options.tolerance > 0.0 && options.max_iterations > 0,
                  "cg: bad iteration controls");
-  const CgPath path = resolve_path(options.path);
-  const bool overlap = path != CgPath::kBlocking;
-  const bool fused = path == CgPath::kFused;
   const bool jacobi = options.precond == CgPrecond::kJacobi;
   const int ranks = comm.size();
   const int rank = comm.rank();
@@ -276,46 +246,39 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
     out_peers.push_back(std::move(out));
   }
 
-  // Interior/boundary row split for the overlapped paths: a row is
-  // boundary iff it gathers from the ghost region (remapped columns
-  // >= local_rows). Computing a row in the interior pass or the boundary
-  // pass yields the same bits (spmv_rows keeps the per-row accumulation of
-  // the full spmv), so the split moves timing only.
+  // Interior/boundary row split: a row is boundary iff it gathers from the
+  // ghost region (remapped columns >= local_rows). Computing a row in the
+  // interior pass or the boundary pass yields the same bits (spmv_rows
+  // keeps the per-row accumulation of the full spmv), so the split moves
+  // timing only.
   std::vector<std::uint32_t> interior_rows;
   std::vector<std::uint32_t> boundary_rows;
   std::size_t nnz_boundary = 0;
-  if (overlap) {
-    for (std::size_t li = 0; li < local_rows; ++li) {
-      bool boundary = false;
-      for (std::size_t k = local.row_ptr[li]; k < local.row_ptr[li + 1];
-           ++k) {
-        if (local.col_idx[k] >= local_rows) {
-          boundary = true;
-          break;
-        }
+  for (std::size_t li = 0; li < local_rows; ++li) {
+    bool boundary = false;
+    for (std::size_t k = local.row_ptr[li]; k < local.row_ptr[li + 1]; ++k) {
+      if (local.col_idx[k] >= local_rows) {
+        boundary = true;
+        break;
       }
-      if (boundary) {
-        boundary_rows.push_back(static_cast<std::uint32_t>(li));
-        nnz_boundary += local.row_ptr[li + 1] - local.row_ptr[li];
-      } else {
-        interior_rows.push_back(static_cast<std::uint32_t>(li));
-      }
+    }
+    if (boundary) {
+      boundary_rows.push_back(static_cast<std::uint32_t>(li));
+      nnz_boundary += local.row_ptr[li + 1] - local.row_ptr[li];
+    } else {
+      interior_rows.push_back(static_cast<std::uint32_t>(li));
     }
   }
   comm.prof_phase_end();
 
   // -- CG iteration ---------------------------------------------------------
   const double flops_dot = 2.0 * static_cast<double>(local_rows);
-  const auto charge_dots = [&](double count) {
-    comm.compute(xmpi::ComputeCost{count * flops_dot,
-                                   count * flops_dot * kDot.bytes_per_flop,
-                                   kDot.efficiency});
-  };
   const auto global_dot = [&](std::span<const double> a,
                               std::span<const double> b) {
     comm.prof_phase_begin("cg:dot");
     const double partial = dot_span(a, b);
-    charge_dots(1.0);
+    comm.compute(xmpi::ComputeCost{flops_dot, flops_dot * kDot.bytes_per_flop,
+                                   kDot.efficiency});
     const double sum = comm.allreduce_value(partial, xmpi::ReduceOp::kSum);
     comm.prof_phase_end();
     return sum;
@@ -334,39 +297,8 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   if (jacobi) z.assign(local_rows, 0.0);
   // p carries the ghost region the remapped SpMV gathers from.
   std::vector<double> p_ext(local_rows + ghosts.size(), 0.0);
-  const std::span<double> p_owned(p_ext.data(), local_rows);
   std::vector<double> halo_out;
   std::vector<xmpi::Request> halo_requests;
-
-  const auto pack_and_send = [&](const OutPeer& out, bool nonblocking) {
-    halo_out.resize(out.rows.size());
-    for (std::size_t i = 0; i < out.rows.size(); ++i) {
-      halo_out[i] = p_ext[out.rows[i]];
-    }
-    // Both sends are buffered (the payload is on the wire before the call
-    // returns), so reusing halo_out across peers is safe either way.
-    if (nonblocking) {
-      comm.isend_halo(std::span<const double>(halo_out), out.peer,
-                      kTagHaloData);
-    } else {
-      comm.send_halo(std::span<const double>(halo_out), out.peer,
-                     kTagHaloData);
-    }
-  };
-
-  /// The PR 9 reference: ship every ghost segment, then block on each
-  /// incoming slice before any SpMV work starts.
-  const auto exchange_halo_blocking = [&] {
-    if (in_peers.empty() && out_peers.empty()) return;
-    comm.prof_phase_begin("cg:halo");
-    for (const OutPeer& out : out_peers) pack_and_send(out, false);
-    for (const InPeer& in : in_peers) {
-      comm.recv(std::span<double>(p_ext.data() + local_rows + in.offset,
-                                  in.count),
-                in.peer, kTagHaloData);
-    }
-    comm.prof_phase_end();
-  };
 
   const auto halo_post = [&] {
     if (in_peers.empty() && out_peers.empty()) return;
@@ -376,7 +308,16 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
           std::span<double>(p_ext.data() + local_rows + in.offset, in.count),
           in.peer, kTagHaloData));
     }
-    for (const OutPeer& out : out_peers) pack_and_send(out, true);
+    for (const OutPeer& out : out_peers) {
+      halo_out.resize(out.rows.size());
+      for (std::size_t i = 0; i < out.rows.size(); ++i) {
+        halo_out[i] = p_ext[out.rows[i]];
+      }
+      // isend is buffered (the payload is on the wire before the call
+      // returns), so reusing halo_out across peers is safe.
+      comm.isend_halo(std::span<const double>(halo_out), out.peer,
+                      kTagHaloData);
+    }
     comm.prof_phase_end();
   };
 
@@ -392,26 +333,16 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   const double nnz_interior_d =
       nnz_total - static_cast<double>(nnz_boundary);
   // csr_spmv_bytes is linear in (nnz, rows), so the interior and boundary
-  // charges sum exactly to the blocking path's single charge.
+  // charges sum exactly to one whole-block SpMV charge.
   const double bytes_interior = hw::csr_spmv_bytes(
       nnz_interior_d, static_cast<double>(interior_rows.size()));
   const double bytes_boundary = hw::csr_spmv_bytes(
       static_cast<double>(nnz_boundary),
       static_cast<double>(boundary_rows.size()));
-  const double bytes_spmv = hw::csr_spmv_bytes(
-      nnz_total, static_cast<double>(local_rows));
 
-  /// q = A p for one iteration, down the configured halo path.
+  /// q = A p for one iteration: the interior rows run while the halo is in
+  /// flight, the boundary rows once it has landed.
   const auto apply_operator = [&] {
-    if (!overlap) {
-      exchange_halo_blocking();
-      comm.prof_phase_begin("cg:spmv");
-      sparse::spmv(local, p_ext, q);
-      comm.compute(
-          xmpi::ComputeCost{2.0 * nnz_total, bytes_spmv, kSpmv.efficiency});
-      comm.prof_phase_end();
-      return;
-    }
     halo_post();
     comm.prof_phase_begin("cg:interior");
     sparse::spmv_rows(local, p_ext, q,
@@ -450,7 +381,7 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
     return result;
   }
 
-  // Residual-replacement guard for the fused recurrences. The recurrence
+  // Residual-replacement guard for the recurrences. The recurrence
   // ||r'||^2 = ||r||^2 - 2 a (r.q) + a^2 (q.q) is exact for the *exact*
   // update, but the stored r drifts from it by rounding, and the drift
   // freezes into a constant absolute offset of order eps * ||b||^2 (the
@@ -481,45 +412,37 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     apply_operator();
 
-    double alpha = 0.0;
-    double rr_next = 0.0;
     // Fused-round scalars: [p.q, r.q, q.q] (+ [z.q, q.M^{-1}q] under
     // jacobi). One accumulation pass brackets each sum exactly like its
     // standalone dot_span, and the small-vector allreduce combines
-    // element-wise in rank order — each element is bitwise what the scalar
+    // element-wise in rank order — each element is bitwise what a scalar
     // round would have produced.
-    double fused_g[5] = {0.0, 0.0, 0.0, 0.0, 0.0};
-    if (fused) {
-      comm.prof_phase_begin("cg:dot");
-      const std::size_t terms = jacobi ? 5 : 3;
-      double partial[5] = {0.0, 0.0, 0.0, 0.0, 0.0};
-      for (std::size_t i = 0; i < local_rows; ++i) {
-        partial[0] += p_ext[i] * q[i];
-        partial[1] += r[i] * q[i];
-        partial[2] += q[i] * q[i];
-        if (jacobi) {
-          partial[3] += z[i] * q[i];
-          partial[4] += q[i] * inv_diag[i] * q[i];
-        }
+    comm.prof_phase_begin("cg:dot");
+    const std::size_t terms = jacobi ? 5 : 3;
+    double partial[5] = {0.0, 0.0, 0.0, 0.0, 0.0};
+    for (std::size_t i = 0; i < local_rows; ++i) {
+      partial[0] += p_ext[i] * q[i];
+      partial[1] += r[i] * q[i];
+      partial[2] += q[i] * q[i];
+      if (jacobi) {
+        partial[3] += z[i] * q[i];
+        partial[4] += q[i] * inv_diag[i] * q[i];
       }
-      // One pass streams each distinct vector once (p, r, q [, z, d]), so
-      // the DRAM term is per *vector*, not per dot — half the per-term
-      // traffic of standalone dots, and the compute-side payoff of fusing.
-      comm.compute(xmpi::ComputeCost{
-          static_cast<double>(terms) * flops_dot,
-          (jacobi ? 5.0 : 3.0) * 8.0 * static_cast<double>(local_rows),
-          kDot.efficiency});
-      comm.allreduce(std::span<const double>(partial, terms),
-                     std::span<double>(fused_g, terms), xmpi::ReduceOp::kSum);
-      comm.prof_phase_end();
-      const double pq = fused_g[0];
-      PLIN_CHECK_MSG(pq > 0.0, "cg: matrix is not positive definite");
-      alpha = (jacobi ? rz : rr) / pq;
-    } else {
-      const double pq = global_dot(p_owned, q);
-      PLIN_CHECK_MSG(pq > 0.0, "cg: matrix is not positive definite");
-      alpha = (jacobi ? rz : rr) / pq;
     }
+    // One pass streams each distinct vector once (p, r, q [, z, d]), so
+    // the DRAM term is per *vector*, not per dot — half the per-term
+    // traffic of standalone dots.
+    comm.compute(xmpi::ComputeCost{
+        static_cast<double>(terms) * flops_dot,
+        static_cast<double>(terms) * 8.0 * static_cast<double>(local_rows),
+        kDot.efficiency});
+    double g[5] = {0.0, 0.0, 0.0, 0.0, 0.0};
+    comm.allreduce(std::span<const double>(partial, terms),
+                   std::span<double>(g, terms), xmpi::ReduceOp::kSum);
+    comm.prof_phase_end();
+    const double pq = g[0];
+    PLIN_CHECK_MSG(pq > 0.0, "cg: matrix is not positive definite");
+    const double alpha = (jacobi ? rz : rr) / pq;
 
     comm.prof_phase_begin("cg:axpy");
     for (std::size_t i = 0; i < local_rows; ++i) {
@@ -529,18 +452,13 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
     charge_axpy(4.0 * static_cast<double>(local_rows));
     comm.prof_phase_end();
 
-    if (fused) {
-      // ||r - a q||^2 = ||r||^2 - 2 a (r.q) + a^2 (q.q), guarded by the
-      // residual-replacement floor above: once the value is small enough
-      // for the frozen rounding offset to matter, re-measure directly
-      // (deterministically — the recurrence inputs are replicated bitwise,
-      // so every rank takes the same branch).
-      rr_next =
-          rr - 2.0 * alpha * fused_g[1] + alpha * alpha * fused_g[2];
-      if (rr_next <= rec_floor) rr_next = global_dot(r, r);
-    } else {
-      rr_next = global_dot(r, r);
-    }
+    // ||r - a q||^2 = ||r||^2 - 2 a (r.q) + a^2 (q.q), guarded by the
+    // residual-replacement floor above: once the value is small enough for
+    // the frozen rounding offset to matter, re-measure directly
+    // (deterministically — the recurrence inputs are replicated bitwise, so
+    // every rank takes the same branch).
+    double rr_next = rr - 2.0 * alpha * g[1] + alpha * alpha * g[2];
+    if (rr_next <= rec_floor) rr_next = global_dot(r, r);
     result.iterations = iter;
     result.relative_residual = std::sqrt(rr_next) / b_norm;
     if (result.relative_residual <= options.tolerance) {
@@ -551,18 +469,12 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
     double beta = 0.0;
     if (jacobi) {
       apply_precond();
-      double rz_next = 0.0;
-      if (fused) {
-        // Same recurrence through M^{-1}: (r-aq).M^{-1}(r-aq)
-        //   = rz - 2 a (z.q) + a^2 (q.M^{-1}q), with the same
-        //   residual-replacement guard (z holds M^{-1} r_new here, so the
-        //   direct re-measure is well-defined).
-        rz_next =
-            rz - 2.0 * alpha * fused_g[3] + alpha * alpha * fused_g[4];
-        if (rz_next <= rz_floor) rz_next = global_dot(r, z);
-      } else {
-        rz_next = global_dot(r, z);
-      }
+      // Same recurrence through M^{-1}: (r-aq).M^{-1}(r-aq)
+      //   = rz - 2 a (z.q) + a^2 (q.M^{-1}q), with the same
+      //   residual-replacement guard (z holds M^{-1} r_new here, so the
+      //   direct re-measure is well-defined).
+      double rz_next = rz - 2.0 * alpha * g[3] + alpha * alpha * g[4];
+      if (rz_next <= rz_floor) rz_next = global_dot(r, z);
       beta = rz_next / rz;
       rz = rz_next;
     } else {

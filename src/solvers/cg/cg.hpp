@@ -5,38 +5,33 @@
 //
 // The distributed solver owns contiguous row blocks (the same
 // chunk = ceil(n / P) arithmetic placement as Jacobi), generates its block
-// locally from (kind, seed, n), and runs the iteration down one of three
-// paths (CgPath below):
-//   - kBlocking: the reference shape — a fully blocking halo exchange
-//     before each SpMV, then separate scalar allreduces per dot product.
-//   - kOverlap: local rows are split once at setup into *interior* rows
-//     (touch no ghost column) and *boundary* rows; per iteration the halo
-//     irecv/isends are posted, the interior SpMV runs while the ghost
+// locally from (kind, seed, n), and runs one iteration shape:
+//   - overlapped halo: local rows are split once at setup into *interior*
+//     rows (touch no ghost column) and *boundary* rows; per iteration the
+//     halo irecv/isends are posted, the interior SpMV runs while the ghost
 //     values are in flight, and the boundary rows finish after wait_all.
-//     Per-row accumulation order is unchanged, so solution and iteration
-//     count are bit-identical to kBlocking at every P — only the simulated
-//     time (and hence energy) moves.
-//   - kFused (default): the overlapped halo plus *fused iteration
-//     collectives* — the per-iteration scalar allreduces collapse into one
-//     small-vector allreduce (element-wise, rank-order-preserving combine,
-//     so each element is bitwise the value the scalar round would have
-//     produced), and ||r||^2 advances by the standard recurrence
-//     rr' = rr - 2 a (r.q) + a^2 (q.q) instead of a second round. The
-//     recurrence carries a frozen eps * ||b||^2-scale rounding offset (the
-//     attainable-accuracy limit of single-reduction CG), so it is guarded
-//     by residual replacement: once the recurrence value dips under
-//     1e-12 * ||b||^2, ||r||^2 is re-measured with a direct round — every
-//     rank takes the same branch because the recurrence inputs are
-//     replicated bitwise. The recurrence legitimately re-brackets the
-//     residual trajectory, so kFused may terminate +-1 iteration from the
-//     reference paths.
-// Every path honors the repo's determinism contract: at a fixed path and
-// fixed PLIN_SPARSE_KERNEL, results are bit-identical across worker
-// counts, executors and collective modes.
+//     Per-row accumulation order is that of a whole-block SpMV, so the
+//     split moves simulated time (and hence energy) only.
+//   - fused iteration collectives: the per-iteration scalar reductions
+//     collapse into one small-vector allreduce (element-wise,
+//     rank-order-preserving combine, so each element is bitwise the value
+//     a scalar round would have produced), and ||r||^2 advances by the
+//     standard recurrence rr' = rr - 2 a (r.q) + a^2 (q.q) instead of a
+//     second round. The recurrence carries a frozen eps * ||b||^2-scale
+//     rounding offset (the attainable-accuracy limit of single-reduction
+//     CG), so it is guarded by residual replacement: once the recurrence
+//     value dips under 1e-12 * ||b||^2, ||r||^2 is re-measured with a
+//     direct round — every rank takes the same branch because the
+//     recurrence inputs are replicated bitwise.
+// The sequential solve_cg is the test oracle. Its first iterate is bitwise
+// that of solve_pcg at P = 1; after that the recurrence legitimately
+// re-brackets the residual trajectory, so the two may terminate +-1
+// iteration apart. solve_pcg honors the repo's determinism contract: at a
+// fixed PLIN_SPARSE_KERNEL, results are bit-identical across worker counts
+// and collective modes.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "solvers/cg/precond.hpp"
@@ -46,16 +41,6 @@
 
 namespace plin::solvers {
 
-/// Which iteration shape solve_pcg runs (see the header comment). kAuto
-/// resolves PLIN_CG_PATH={blocking,overlap,fused} and defaults to kFused.
-enum class CgPath { kAuto, kBlocking, kOverlap, kFused };
-
-/// "blocking" / "overlap" / "fused" (kAuto has no token — it resolves).
-const char* path_token(CgPath path);
-
-/// Parses a PLIN_CG_PATH token; throws InvalidArgument otherwise.
-CgPath parse_path_token(const std::string& token);
-
 struct CgOptions {
   sparse::SparseKind kind = sparse::SparseKind::kStencil5;
   std::size_t n = 0;
@@ -63,7 +48,6 @@ struct CgOptions {
   /// Relative-residual termination: ||r||_2 <= tolerance * ||b||_2.
   double tolerance = 1e-11;
   int max_iterations = 1000;
-  CgPath path = CgPath::kAuto;
   CgPrecond precond = CgPrecond::kNone;
 };
 

@@ -17,7 +17,7 @@
 // instantiated at double) and reports fell_back. Both the failure detection
 // and the fallback are collective and deterministic: every rank takes the
 // same branch at the same step, so results stay bit-identical across worker
-// counts, executors and collective schedules.
+// counts and collective schedules.
 #pragma once
 
 #include <cstdint>

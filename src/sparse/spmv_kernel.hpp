@@ -30,7 +30,7 @@
 // per-row sums differently, so switching kernels legitimately moves
 // solution bits (and hence the CG trajectory). The determinism contract is
 // therefore *per kernel*: at any fixed PLIN_SPARSE_KERNEL setting, results
-// are bit-identical across worker counts, executors and collective modes.
+// are bit-identical across worker counts and collective modes.
 // Charged flops/bytes never depend on the kernel.
 #pragma once
 

@@ -164,16 +164,6 @@ class Comm {
     send_impl(std::as_bytes(data), dst, tag, /*control=*/false);
   }
 
-  /// send(), but the message is also counted as halo-exchange traffic
-  /// (TrafficCounters::halo_*) — the per-iteration ghost payloads the CG
-  /// solver ships. Identical timing/energy accounting to send().
-  template <typename T>
-  void send_halo(std::span<const T> data, int dst, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    send_impl(std::as_bytes(data), dst, tag, /*control=*/false,
-              /*halo=*/true);
-  }
-
   template <typename T>
   void send_value(const T& value, int dst, int tag) {
     send(std::span<const T>(&value, 1), dst, tag);
@@ -214,7 +204,9 @@ class Comm {
   template <typename T>
   class Request isend(std::span<const T> data, int dst, int tag);
 
-  /// isend(), counted as halo-exchange traffic like send_halo().
+  /// isend(), but the message is also counted as halo-exchange traffic
+  /// (TrafficCounters::halo_*) — the per-iteration ghost payloads the CG
+  /// solver ships. Identical timing/energy accounting to isend().
   template <typename T>
   class Request isend_halo(std::span<const T> data, int dst, int tag);
 

@@ -159,7 +159,15 @@ Envelope Mailbox::match_impl(int src, int tag, std::uint64_t context,
     if (parker_ != nullptr) {
       Parker* parker = parker_;
       lock.unlock();  // never hold a mutex across a fiber switch
-      parker->park();
+      try {
+        parker->park();
+      } catch (...) {
+        // The receive is abandoned: drop the registration so no later
+        // post targets it or writes into its destination buffer.
+        lock.lock();
+        pending_ = PendingRecv{};
+        throw;
+      }
       lock.lock();
     } else {
       cv_.wait(lock);

@@ -8,10 +8,13 @@
 //
 // Blocking is pluggable. A receiver first registers its pending match
 // under the mailbox lock, then either
-//   - parks through the installed Mailbox::Parker (worker-pool executor:
-//     the rank's fiber yields its host worker and is resumed by the
-//     scheduler when a matching message arrives), or
-//   - waits on the mailbox condition variable (thread-per-rank executor).
+//   - parks through the installed Mailbox::Parker — the runtime always
+//     installs one: in the worker pool the rank's fiber yields its host
+//     worker and is resumed by the scheduler when a matching message
+//     arrives, and in a 1-rank world the parker raises the deadlock
+//     error, because no other rank could ever send — or
+//   - waits on the mailbox condition variable, for code that drives a
+//     Mailbox directly from plain threads (the mailbox unit tests).
 // Either way `post` performs a *targeted* single-waiter wakeup — it wakes
 // the owner only when the new envelope actually satisfies the registered
 // pending receive (a mailbox has exactly one legal waiter: its owner).
@@ -78,10 +81,11 @@ struct Envelope {
 
 class Mailbox {
  public:
-  /// Scheduler hook for the worker-pool executor: how the owning rank
-  /// blocks and how senders resume it. wake() may race with a park() that
-  /// is still switching out; implementations must tolerate that (two-phase
-  /// parking) as well as spurious wake() calls on a non-parked rank.
+  /// Scheduler hook: how the owning rank blocks and how senders resume
+  /// it. wake() may race with a park() that is still switching out;
+  /// implementations must tolerate that (two-phase parking) as well as
+  /// spurious wake() calls on a non-parked rank. park() may throw to
+  /// abandon the receive; the exception leaves match().
   class Parker {
    public:
     virtual ~Parker() = default;

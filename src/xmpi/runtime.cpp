@@ -7,7 +7,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "prof/export.hpp"
 #include "prof/recorder.hpp"
@@ -52,20 +51,17 @@ std::size_t env_size_t(const char* name, std::size_t fallback) {
   return static_cast<std::size_t>(parsed);
 }
 
-/// Resolves the executor: explicit config wins, then PLIN_XMPI_EXECUTOR
-/// ("pool" | "threads"), then the worker pool.
-ExecutorKind resolve_executor(ExecutorKind requested) {
-  if (requested != ExecutorKind::kAuto) return requested;
-  const char* value = std::getenv("PLIN_XMPI_EXECUTOR");
-  if (value != nullptr) {
-    const std::string name(value);
-    if (name == "threads") return ExecutorKind::kThreadPerRank;
-    if (name == "pool") return ExecutorKind::kWorkerPool;
-    PLIN_CHECK_MSG(name.empty() || name == "auto",
-                   "PLIN_XMPI_EXECUTOR must be auto, pool or threads");
-  }
-  return ExecutorKind::kWorkerPool;
-}
+constexpr const char* kDeadlockMessage =
+    "xmpi deadlock detected: every unfinished rank is blocked in a receive "
+    "or collective with no message in flight";
+
+/// Parker of the 1-rank inline path. The only rank is also the only
+/// possible sender, so a receive that has to block can never match.
+class InlineParker final : public Mailbox::Parker {
+ public:
+  void park() override { throw Error(kDeadlockMessage); }
+  void wake() override {}
+};
 
 }  // namespace
 
@@ -91,7 +87,9 @@ RunResult Runtime::run(const RunConfig& config, const RankMain& rank_main) {
     // 1-rank fast path: no pool, no fibers, no thread spawn — rank_main
     // runs inline on the calling thread (whose previous hardware binding,
     // if any, is restored afterwards). Exceptions propagate directly.
+    static InlineParker parker;
     RankState& state = world.rank_state(0);
+    state.mailbox.set_parker(&parker);
     trace::ScopedHardwareBinding binding(&state.hw_context);
     Comm comm(&world, 0);
     rank_main(comm);
@@ -114,62 +112,41 @@ RunResult Runtime::run(const RunConfig& config, const RankMain& rank_main) {
       }
     };
 
-    const ExecutorKind executor = resolve_executor(config.executor);
-    bool deadlocked = false;
-    if (executor == ExecutorKind::kWorkerPool) {
-      FiberScheduler::Options options;
-      options.workers =
-          config.workers != 0 ? config.workers
-                              : env_size_t("PLIN_XMPI_WORKERS", 0);
-      options.stack_bytes =
-          config.fiber_stack_bytes != 0
-              ? config.fiber_stack_bytes
-              : env_size_t("PLIN_XMPI_STACK_KB", 0) * 1024;
-      options.on_deadlock = [&world] { world.abort(); };
+    FiberScheduler::Options options;
+    options.workers = config.workers != 0
+                          ? config.workers
+                          : env_size_t("PLIN_XMPI_WORKERS", 0);
+    options.stack_bytes = config.fiber_stack_bytes != 0
+                              ? config.fiber_stack_bytes
+                              : env_size_t("PLIN_XMPI_STACK_KB", 0) * 1024;
+    options.on_deadlock = [&world] { world.abort(); };
 
-      std::vector<FiberScheduler::Task> tasks;
-      tasks.reserve(static_cast<std::size_t>(world.size()));
-      for (int rank = 0; rank < world.size(); ++rank) {
-        FiberScheduler::Task task;
-        task.body = [&rank_body, rank] { rank_body(rank); };
-        task.hw = &world.rank_state(rank).hw_context;
-        tasks.push_back(std::move(task));
-      }
-      FiberScheduler scheduler(std::move(tasks), std::move(options));
-      for (int rank = 0; rank < world.size(); ++rank) {
-        world.rank_state(rank).mailbox.set_parker(
-            scheduler.parker(static_cast<std::size_t>(rank)));
-      }
-      scheduler.run();
-      for (int rank = 0; rank < world.size(); ++rank) {
-        world.rank_state(rank).mailbox.set_parker(nullptr);
-      }
-      deadlocked = scheduler.deadlocked();
-      result.host_executor = "pool";
-      result.host_workers = scheduler.worker_count();
-      result.host_parks = scheduler.park_count();
-      result.host_wakes = scheduler.wake_count();
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<std::size_t>(world.size()));
-      for (int rank = 0; rank < world.size(); ++rank) {
-        threads.emplace_back([&world, &rank_body, rank] {
-          RankState& state = world.rank_state(rank);
-          trace::ScopedHardwareBinding binding(&state.hw_context);
-          rank_body(rank);
-        });
-      }
-      for (std::thread& thread : threads) thread.join();
-      result.host_executor = "threads";
-      result.host_workers = threads.size();
+    std::vector<FiberScheduler::Task> tasks;
+    tasks.reserve(static_cast<std::size_t>(world.size()));
+    for (int rank = 0; rank < world.size(); ++rank) {
+      FiberScheduler::Task task;
+      task.body = [&rank_body, rank] { rank_body(rank); };
+      task.hw = &world.rank_state(rank).hw_context;
+      tasks.push_back(std::move(task));
     }
+    FiberScheduler scheduler(std::move(tasks), std::move(options));
+    for (int rank = 0; rank < world.size(); ++rank) {
+      world.rank_state(rank).mailbox.set_parker(
+          scheduler.parker(static_cast<std::size_t>(rank)));
+    }
+    scheduler.run();
+    for (int rank = 0; rank < world.size(); ++rank) {
+      world.rank_state(rank).mailbox.set_parker(nullptr);
+    }
+    result.host_executor = "pool";
+    result.host_workers = scheduler.worker_count();
+    result.host_parks = scheduler.park_count();
+    result.host_wakes = scheduler.wake_count();
 
-    if (deadlocked) {
+    if (scheduler.deadlocked()) {
       // Every surviving rank was woken with Aborted, so first_error holds
       // an Aborted — replace it with the actual diagnosis.
-      throw Error(
-          "xmpi deadlock detected: every unfinished rank is blocked in a "
-          "receive or collective with no message in flight");
+      throw Error(kDeadlockMessage);
     }
     if (first_error) std::rethrow_exception(first_error);
   }

@@ -2,12 +2,11 @@
 // placement, then aggregates virtual duration, traffic and per-domain
 // energy.
 //
-// Rank execution is multiplexed over a bounded worker pool by default
+// Rank execution is multiplexed over a bounded worker pool
 // (FiberScheduler: N host workers ≈ cores running all ranks on user-level
-// stacks), with an inline fast path for 1-rank worlds and a legacy
-// thread-per-rank executor retained as a fallback/baseline. The executor
-// choice changes host wall-clock only: all simulated outputs are
-// bit-identical across executors and worker counts (see docs/xmpi.md).
+// stacks), with an inline fast path for 1-rank worlds. The worker count
+// changes host wall-clock only: all simulated outputs are bit-identical
+// across worker counts (see docs/xmpi.md).
 #pragma once
 
 #include <cstddef>
@@ -42,28 +41,16 @@ struct EnergyReport {
   double total_j() const { return total_pkg_j() + total_dram_j(); }
 };
 
-/// How simulated ranks map onto host threads.
-enum class ExecutorKind {
-  /// Resolve from PLIN_XMPI_EXECUTOR ("pool" | "threads"), defaulting to
-  /// the worker pool.
-  kAuto,
-  /// Bounded worker pool over per-rank fibers (the default).
-  kWorkerPool,
-  /// One OS thread per rank — the original executor, kept as the perf
-  /// baseline and as a fallback for platforms without ucontext.
-  kThreadPerRank,
-};
-
 struct RunConfig {
   hw::MachineSpec machine;
   hw::Placement placement;
-  /// Host execution engine; simulated results do not depend on it.
-  ExecutorKind executor = ExecutorKind::kAuto;
   /// Worker-pool size; 0 → PLIN_XMPI_WORKERS env, else
-  /// hardware_concurrency. Ignored by kThreadPerRank.
+  /// hardware_concurrency. Clamped to the rank count, so workers = ranks
+  /// gives every rank its own host thread. Simulated results do not
+  /// depend on it.
   std::size_t workers = 0;
   /// Usable bytes per rank fiber stack; 0 → PLIN_XMPI_STACK_KB env, else
-  /// 512 KiB (lazily committed). Ignored by kThreadPerRank.
+  /// 512 KiB (lazily committed).
   std::size_t fiber_stack_bytes = 0;
   /// Message-transport knobs: payload buffer pool, zero-copy rendezvous
   /// delivery and the collective schedule family. kAuto fields resolve
@@ -88,7 +75,7 @@ struct RunConfig {
   std::string chrome_trace_path;
   /// If non-empty, the full canonical trace bundle (trace.json,
   /// summary.json and the analysis CSVs) is written into this directory.
-  /// The bundle bytes are identical across executors and worker counts.
+  /// The bundle bytes are identical across worker counts.
   std::string trace_dir;
   /// If > 0, RunResult.timeline holds a per-node power time series sampled
   /// at this virtual-time period — the simulated *external wattmeter* view
@@ -156,9 +143,9 @@ struct RunResult {
   std::shared_ptr<const prof::TraceData> trace;
 
   /// Host-side diagnostics (never feed back into simulated numbers):
-  /// which executor actually ran ("inline", "pool" or "threads"), how many
-  /// host workers it used, and the pool's fiber park/wake counts (0 for
-  /// the inline and thread-per-rank executors).
+  /// which executor actually ran ("inline" for 1-rank worlds, else
+  /// "pool"), how many host workers it used, and the pool's fiber
+  /// park/wake counts (0 inline).
   std::string host_executor;
   std::size_t host_workers = 0;
   std::uint64_t host_parks = 0;
@@ -180,7 +167,9 @@ class Runtime {
   using RankMain = std::function<void(Comm&)>;
 
   /// Runs `rank_main` on every rank of the placement. Exceptions thrown by
-  /// any rank abort the run and are rethrown here (first one wins).
+  /// any rank abort the run and are rethrown here (first one wins). A run
+  /// in which every unfinished rank waits on a receive that can never
+  /// match throws an Error naming the deadlock.
   static RunResult run(const RunConfig& config, const RankMain& rank_main);
 };
 

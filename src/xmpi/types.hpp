@@ -103,7 +103,7 @@ struct TrafficCounters {
   /// the scalable schedules spread out (bench_collectives).
   std::uint64_t recv_messages = 0;
   std::uint64_t recv_bytes = 0;
-  /// Halo-exchange payloads (Comm::send_halo / isend_halo) — a subset of
+  /// Halo-exchange payloads (Comm::isend_halo) — a subset of
   /// the data_* counters above, tracked separately so campaign reports can
   /// surface the per-iteration ghost traffic a CG job actually shipped
   /// (docs/sparse.md).

@@ -232,20 +232,24 @@ TEST_F(KernelsBlockedTest, GemmZeroTimesInfIsNaN) {
   }
 }
 
-TEST_F(KernelsBlockedTest, DispatcherHonorsKernelPathOverride) {
-  // blocked = false forces the dispatcher to the reference path; results
-  // must then be bit-identical to a direct naive call.
-  KernelConfig cfg = active_kernel_config();
-  cfg.blocked = false;
-  set_kernel_config(cfg);
-  const Matrix a = random_matrix(21, 18, 9);
-  const Matrix b = random_matrix(18, 23, 10);
-  const Matrix c0 = random_matrix(21, 23, 11);
-  Matrix c_dispatch = c0;
-  Matrix c_naive = c0;
-  dgemm(1.0, a.view(), b.view(), 0.5, c_dispatch.view());
-  dgemm_naive(1.0, a.view(), b.view(), 0.5, c_naive.view());
-  EXPECT_EQ(max_abs_diff(c_naive, c_dispatch), 0.0);
+TEST_F(KernelsBlockedTest, DispatcherPicksNaiveForSmallProducts) {
+  // dgemm routes products below 16384 flops to the naive kernel and larger
+  // ones to the engine; either way it must be bit-identical to calling the
+  // chosen kernel directly.
+  for (const std::size_t n : {8UL, 21UL}) {
+    const Matrix a = random_matrix(n, n + 1, 9);
+    const Matrix b = random_matrix(n + 1, n + 2, 10);
+    const Matrix c0 = random_matrix(n, n + 2, 11);
+    Matrix c_dispatch = c0;
+    Matrix c_direct = c0;
+    dgemm(1.0, a.view(), b.view(), 0.5, c_dispatch.view());
+    if (n == 8) {
+      dgemm_naive(1.0, a.view(), b.view(), 0.5, c_direct.view());
+    } else {
+      dgemm_blocked(1.0, a.view(), b.view(), 0.5, c_direct.view());
+    }
+    EXPECT_EQ(max_abs_diff(c_direct, c_dispatch), 0.0) << "n=" << n;
+  }
 }
 
 TEST_F(KernelsBlockedTest, TrsmLowerUnitMatchesNaive) {

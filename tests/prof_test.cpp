@@ -1,5 +1,5 @@
 // Tests for the prof span-tracing subsystem: canonical exports are
-// byte-identical across worker counts and executors, per-phase energy
+// byte-identical across worker counts, per-phase energy
 // attribution reconciles exactly against the run's EnergyLedger totals,
 // the communication matrix matches the runtime's traffic counters, the
 // critical path accounts for the full virtual duration, ring overflow
@@ -94,12 +94,11 @@ TEST(ProfTest, DisabledRunsCarryNoTrace) {
 TEST(ProfTest, CanonicalBytesIdenticalAcrossWorkersAndExecutors) {
   xmpi::RunConfig config = mini_config(12);
 
-  config.executor = xmpi::ExecutorKind::kWorkerPool;
   config.workers = 2;
   const xmpi::RunResult two = xmpi::Runtime::run(config, mixed_workload);
   config.workers = 5;
   const xmpi::RunResult five = xmpi::Runtime::run(config, mixed_workload);
-  config.executor = xmpi::ExecutorKind::kThreadPerRank;
+  config.workers = 12;  // one host worker per rank
   const xmpi::RunResult threads = xmpi::Runtime::run(config, mixed_workload);
 
   ASSERT_NE(two.trace, nullptr);
@@ -117,7 +116,6 @@ TEST(ProfTest, TraceBundleFilesIdenticalAcrossWorkerCounts) {
   fs::remove_all(base);
 
   xmpi::RunConfig config = mini_config(10);
-  config.executor = xmpi::ExecutorKind::kWorkerPool;
   config.workers = 2;
   config.trace_dir = (base / "a").string();
   (void)xmpi::Runtime::run(config, mixed_workload);

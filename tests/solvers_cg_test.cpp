@@ -1,7 +1,7 @@
 // Tests for the CG solvers: sequential convergence on every SPD family,
-// agreement between the distributed and sequential solvers, the
-// bit-identity contract across worker counts / executors / collective
-// modes, and the analytic iteration model backing the replay tier.
+// agreement between the distributed solver and its sequential oracle, the
+// bit-identity contract across worker counts / collective modes, and the
+// analytic iteration model backing the replay tier.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -60,9 +60,6 @@ TEST_P(CgFamilyParam, DistributedMatchesSequential) {
     options.kind = kind;
     options.n = n;
     options.seed = seed;
-    // The sequential reference runs direct (unfused) dot products, so the
-    // iteration-count comparison needs the matching distributed shape.
-    options.path = CgPath::kBlocking;
     const CgResult r = solve_pcg(comm, options);
     EXPECT_TRUE(r.converged);
     EXPECT_EQ(r.x.size(), n);
@@ -70,7 +67,9 @@ TEST_P(CgFamilyParam, DistributedMatchesSequential) {
     EXPECT_LT(sparse::scaled_residual(a, r.x, b), 1e-12);
     if (comm.rank() == 0) distributed = r;
   });
-  EXPECT_EQ(distributed.iterations, reference.iterations);
+  // The fused recurrence re-brackets the residual trajectory, so
+  // termination may move by one iteration against the direct-dot oracle.
+  EXPECT_LE(std::abs(distributed.iterations - reference.iterations), 1);
   EXPECT_EQ(distributed.nnz, a.nnz());
   ASSERT_EQ(distributed.x.size(), n);
   // Same Krylov trajectory up to the reduction bracketing: near-exact
@@ -96,8 +95,7 @@ struct CgRun {
   double energy_j = 0.0;
 };
 
-CgRun run_cg(const xmpi::RunConfig& config, std::size_t n,
-             CgPath path = CgPath::kAuto) {
+CgRun run_cg(const xmpi::RunConfig& config, std::size_t n) {
   CgRun out;
   const xmpi::RunResult run =
       xmpi::Runtime::run(config, [&](xmpi::Comm& comm) {
@@ -105,7 +103,6 @@ CgRun run_cg(const xmpi::RunConfig& config, std::size_t n,
         options.kind = SparseKind::kStencil5;
         options.n = n;
         options.seed = 9;
-        options.path = path;
         const CgResult r = solve_pcg(comm, options);
         EXPECT_TRUE(r.converged);
         if (comm.rank() == 0) {
@@ -129,7 +126,7 @@ TEST(CgDeterminism, BitIdenticalAcrossExecutorsWorkersAndCollectives) {
   more_workers.workers = 5;
 
   xmpi::RunConfig threads = mini_config(ranks);
-  threads.executor = xmpi::ExecutorKind::kThreadPerRank;
+  threads.workers = ranks;  // one host worker per rank
 
   xmpi::RunConfig scalable = mini_config(ranks);
   scalable.transport.collectives = xmpi::CollectiveMode::kScalable;
@@ -166,94 +163,70 @@ TEST(CgDeterminism, SingleRankMatchesMultiRankTrajectory) {
   // Not bitwise (partial-sum bracketing differs with the rank count), but
   // the iteration count is a sensitive trajectory probe: it must be stable
   // across world sizes for the campaign's iters column to be meaningful.
-  // Pinned to the reference path — the fused recurrence may legitimately
-  // re-bracket termination by one iteration (checked separately below).
+  // The fused recurrence may re-bracket termination by one iteration.
   const std::size_t n = 160;
   std::vector<int> iteration_counts;
   for (const int ranks : {1, 3, 8}) {
-    xmpi::Runtime::run(mini_config(ranks), [&](xmpi::Comm& comm) {
-      CgOptions options;
-      options.kind = SparseKind::kStencil5;
-      options.n = n;
-      options.seed = 9;
-      options.path = CgPath::kBlocking;
-      const CgResult r = solve_pcg(comm, options);
-      EXPECT_TRUE(r.converged);
-      if (comm.rank() == 0) iteration_counts.push_back(r.iterations);
-    });
+    iteration_counts.push_back(run_cg(mini_config(ranks), n).iterations);
   }
   ASSERT_EQ(iteration_counts.size(), 3u);
-  EXPECT_EQ(iteration_counts[0], iteration_counts[1]);
-  EXPECT_EQ(iteration_counts[1], iteration_counts[2]);
+  EXPECT_LE(std::abs(iteration_counts[0] - iteration_counts[1]), 1);
+  EXPECT_LE(std::abs(iteration_counts[1] - iteration_counts[2]), 1);
+  EXPECT_LE(std::abs(iteration_counts[0] - iteration_counts[2]), 1);
 }
 
-TEST(CgPaths, OverlapBitIdenticalToBlockingAtEveryP) {
-  // The tentpole contract: splitting each SpMV into interior + boundary
-  // rows around an in-flight halo must not move a single bit, at any rank
-  // count — including ragged blocks (160 % 3, 160 % 6, 160 % 12 != 0).
-  const std::size_t n = 160;
-  for (const int ranks : {1, 3, 6, 12}) {
-    const CgRun blocking = run_cg(mini_config(ranks), n, CgPath::kBlocking);
-    const CgRun overlap = run_cg(mini_config(ranks), n, CgPath::kOverlap);
-    EXPECT_EQ(overlap.iterations, blocking.iterations) << "P=" << ranks;
-    ASSERT_EQ(overlap.x.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(overlap.x[i], blocking.x[i])
-          << "P=" << ranks << " x[" << i << "]";
-    }
-    // Overlap must not be slower than the blocking schedule it hides.
-    EXPECT_LE(overlap.duration_s, blocking.duration_s) << "P=" << ranks;
-  }
-}
-
-TEST(CgPaths, FusedTracksBlockingWithinOneIteration) {
+TEST(CgOracle, FusedTracksSequentialWithinOneIteration) {
   // The fused recurrence legitimately re-brackets the residual trajectory;
   // the guarded residual replacement keeps it honest, so termination may
-  // move by at most one iteration and the exit residual still meets the
-  // tolerance.
+  // move by at most one iteration against the sequential oracle at every
+  // P — including ragged blocks (160 % 3, 160 % 6, 160 % 12 != 0).
   const std::size_t n = 160;
+  const sparse::CsrMatrix a =
+      sparse::generate_matrix(SparseKind::kStencil5, 9, n);
+  const std::vector<double> b = linalg::generate_rhs(9, n);
+  const CgResult reference = solve_cg(a, b, 1e-11, 1000);
+  ASSERT_TRUE(reference.converged);
   for (const int ranks : {1, 3, 6, 12}) {
-    const CgRun blocking = run_cg(mini_config(ranks), n, CgPath::kBlocking);
-    const CgRun fused = run_cg(mini_config(ranks), n, CgPath::kFused);
-    EXPECT_LE(std::abs(fused.iterations - blocking.iterations), 1)
+    const CgRun fused = run_cg(mini_config(ranks), n);
+    EXPECT_LE(std::abs(fused.iterations - reference.iterations), 1)
         << "P=" << ranks;
-    // Fewer allreduce rounds must show up as simulated time saved — except
-    // at P = 1, where rounds are free and the extra recurrence terms make
-    // fusion a (tiny) net compute cost.
-    if (ranks > 1) {
-      EXPECT_LT(fused.duration_s, blocking.duration_s) << "P=" << ranks;
-    }
+    EXPECT_LT(sparse::scaled_residual(a, fused.x, b), 1e-12)
+        << "P=" << ranks;
   }
 }
 
-TEST(CgPaths, SingleRankBlockingMatchesSequentialBitwise) {
-  // At P = 1 the distributed blocking path degenerates to the sequential
-  // loop (empty halo, identity allreduce, same dot bracketing) — so the
-  // agreement is exact, not merely near.
+TEST(CgOracle, SingleRankFirstIterateMatchesSequentialBitwise) {
+  // At P = 1 the first iterate of the distributed solver is exactly the
+  // oracle's (empty halo, identity allreduce, and the fused round brackets
+  // p.q like a standalone dot). Later iterates legitimately differ: the
+  // recurrence advances ||r||^2 instead of re-measuring it.
   const std::size_t n = 150;
   const std::uint64_t seed = 17;
-  const sparse::CsrMatrix a =
-      sparse::generate_matrix(SparseKind::kStencil5, seed, n);
-  const std::vector<double> b = linalg::generate_rhs(seed, n);
-  const CgResult reference = solve_cg(a, b, 1e-11, 1000);
-  ASSERT_TRUE(reference.converged);
+  for (const SparseKind kind :
+       {SparseKind::kStencil5, SparseKind::kBanded, SparseKind::kRandom}) {
+    for (const CgPrecond precond : {CgPrecond::kNone, CgPrecond::kJacobi}) {
+      const sparse::CsrMatrix a = sparse::generate_matrix(kind, seed, n);
+      const std::vector<double> b = linalg::generate_rhs(seed, n);
+      const CgResult reference = solve_cg(a, b, 1e-11, 1, precond);
 
-  CgResult distributed;
-  xmpi::Runtime::run(mini_config(1), [&](xmpi::Comm& comm) {
-    CgOptions options;
-    options.kind = SparseKind::kStencil5;
-    options.n = n;
-    options.seed = seed;
-    options.path = CgPath::kBlocking;
-    const CgResult r = solve_pcg(comm, options);
-    if (comm.rank() == 0) distributed = r;
-  });
-  EXPECT_EQ(distributed.iterations, reference.iterations);
-  EXPECT_DOUBLE_EQ(distributed.relative_residual,
-                   reference.relative_residual);
-  ASSERT_EQ(distributed.x.size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(distributed.x[i], reference.x[i]) << "x[" << i << "]";
+      CgResult distributed;
+      xmpi::Runtime::run(mini_config(1), [&](xmpi::Comm& comm) {
+        CgOptions options;
+        options.kind = kind;
+        options.n = n;
+        options.seed = seed;
+        options.max_iterations = 1;
+        options.precond = precond;
+        distributed = solve_pcg(comm, options);
+      });
+      EXPECT_EQ(distributed.iterations, 1);
+      ASSERT_EQ(distributed.x.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(distributed.x[i], reference.x[i])
+            << sparse::kind_token(kind) << ' ' << precond_token(precond)
+            << " x[" << i << "]";
+      }
+    }
   }
 }
 
@@ -265,31 +238,26 @@ TEST(CgEdge, MoreRanksThanRowsConvergesOnEveryPath) {
   const sparse::CsrMatrix a =
       sparse::generate_matrix(SparseKind::kStencil5, 3, n);
   const std::vector<double> b = linalg::generate_rhs(3, n);
-  for (const CgPath path :
-       {CgPath::kBlocking, CgPath::kOverlap, CgPath::kFused}) {
-    CgResult result;
-    xmpi::Runtime::run(mini_config(12), [&](xmpi::Comm& comm) {
-      CgOptions options;
-      options.kind = SparseKind::kStencil5;
-      options.n = n;
-      options.seed = 3;
-      options.path = path;
-      const CgResult r = solve_pcg(comm, options);
-      EXPECT_TRUE(r.converged) << path_token(path);
-      if (comm.rank() == 0) result = r;
-    });
-    ASSERT_EQ(result.x.size(), n) << path_token(path);
-    EXPECT_LT(sparse::scaled_residual(a, result.x, b), 1e-12)
-        << path_token(path);
-  }
+  CgResult result;
+  xmpi::Runtime::run(mini_config(12), [&](xmpi::Comm& comm) {
+    CgOptions options;
+    options.kind = SparseKind::kStencil5;
+    options.n = n;
+    options.seed = 3;
+    const CgResult r = solve_pcg(comm, options);
+    EXPECT_TRUE(r.converged);
+    if (comm.rank() == 0) result = r;
+  });
+  ASSERT_EQ(result.x.size(), n);
+  EXPECT_LT(sparse::scaled_residual(a, result.x, b), 1e-12);
 }
 
 TEST(CgEdge, BlockDiagAlignedChunksSendNoHaloMessages) {
   // blockdiag couples rows only inside 64-row diagonal blocks; with the
   // chunk size a multiple of 64 (n = 256 over 4 ranks -> chunk 64) every
   // partition boundary falls between blocks, the halo is empty, and the
-  // overlap path's zero-message fast path must be exercised: no per-
-  // iteration halo traffic at all.
+  // halo's zero-message fast path must be exercised: no per-iteration halo
+  // traffic at all.
   const std::size_t n = 256;
   CgResult result;
   const xmpi::RunResult run =
@@ -298,7 +266,6 @@ TEST(CgEdge, BlockDiagAlignedChunksSendNoHaloMessages) {
         options.kind = SparseKind::kBlockDiag;
         options.n = n;
         options.seed = 7;
-        options.path = CgPath::kOverlap;
         const CgResult r = solve_pcg(comm, options);
         EXPECT_TRUE(r.converged);
         if (comm.rank() == 0) result = r;
@@ -328,7 +295,7 @@ TEST(CgEdge, BlockDiagAlignedChunksSendNoHaloMessages) {
 
 TEST(CgKernel, SimdKernelKeepsTheDeterminismContract) {
   // The bit-identity contract is per kernel: with kSimd pinned, runtime
-  // knobs (workers, executor, collective mode) must not move a bit either.
+  // knobs (workers, collective mode) must not move a bit either.
   sparse::SpmvConfig config;
   config.kernel = sparse::SpmvKernel::kSimd;
   sparse::set_spmv_config(config);
@@ -374,32 +341,15 @@ TEST(CgPrecond, JacobiMatchesSequentialAndConvergesFused) {
     options.n = n;
     options.seed = seed;
     options.precond = CgPrecond::kJacobi;
-    options.path = CgPath::kBlocking;
     const CgResult r = solve_pcg(comm, options);
     EXPECT_TRUE(r.converged);
     if (comm.rank() == 0) distributed = r;
   });
-  EXPECT_EQ(distributed.iterations, reference.iterations);
+  // The two extra preconditioned terms ride in the same fused round; the
+  // recurrence may move termination by one iteration.
+  EXPECT_LE(std::abs(distributed.iterations - reference.iterations), 1);
   ASSERT_EQ(distributed.x.size(), n);
   EXPECT_LT(sparse::scaled_residual(a, distributed.x, b), 1e-12);
-
-  // The fused path fuses the two extra preconditioned terms into the same
-  // single round and still has to land the tolerance.
-  CgResult fused;
-  xmpi::Runtime::run(mini_config(4), [&](xmpi::Comm& comm) {
-    CgOptions options;
-    options.kind = SparseKind::kRandom;
-    options.n = n;
-    options.seed = seed;
-    options.precond = CgPrecond::kJacobi;
-    options.path = CgPath::kFused;
-    const CgResult r = solve_pcg(comm, options);
-    EXPECT_TRUE(r.converged);
-    if (comm.rank() == 0) fused = r;
-  });
-  EXPECT_LE(std::abs(fused.iterations - reference.iterations), 1);
-  ASSERT_EQ(fused.x.size(), n);
-  EXPECT_LT(sparse::scaled_residual(a, fused.x, b), 1e-12);
 }
 
 TEST(CgSequential, ZeroRhsSolvesImmediately) {

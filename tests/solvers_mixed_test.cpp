@@ -1,7 +1,7 @@
 // Tests for the mixed-precision solver (gepp_mixed): fp64-grade accuracy
 // out of fp32 factors + refinement, deterministic fallback on systems fp32
 // cannot carry, and bit-identical results across host configurations (the
-// executor, worker count and transport mode must never leak into simulated
+// worker count and transport mode must never leak into simulated
 // numerics).
 #include <gtest/gtest.h>
 
@@ -22,13 +22,11 @@ namespace {
 
 xmpi::RunConfig mini_config(
     int ranks, xmpi::CollectiveMode collectives = xmpi::CollectiveMode::kTree,
-    xmpi::ExecutorKind executor = xmpi::ExecutorKind::kAuto,
     std::size_t workers = 0, xmpi::PoolMode pool = xmpi::PoolMode::kAuto) {
   xmpi::RunConfig config;
   config.machine = hw::mini_cluster(/*nodes=*/32, /*cores_per_socket=*/4);
   config.placement =
       hw::make_placement(ranks, hw::LoadLayout::kFullLoad, config.machine);
-  config.executor = executor;
   config.workers = workers;
   config.transport.collectives = collectives;
   config.transport.pool = pool;
@@ -136,14 +134,10 @@ TEST(GeppMixedTest, BitIdenticalAcrossHostConfigurations) {
 
   const xmpi::RunConfig variants[] = {
       mini_config(4, xmpi::CollectiveMode::kScalable),
-      mini_config(4, xmpi::CollectiveMode::kTree,
-                  xmpi::ExecutorKind::kThreadPerRank),
-      mini_config(4, xmpi::CollectiveMode::kTree,
-                  xmpi::ExecutorKind::kWorkerPool, /*workers=*/1),
-      mini_config(4, xmpi::CollectiveMode::kTree,
-                  xmpi::ExecutorKind::kWorkerPool, /*workers=*/3),
-      mini_config(4, xmpi::CollectiveMode::kScalable,
-                  xmpi::ExecutorKind::kWorkerPool, /*workers=*/2,
+      mini_config(4, xmpi::CollectiveMode::kTree, /*workers=*/4),
+      mini_config(4, xmpi::CollectiveMode::kTree, /*workers=*/1),
+      mini_config(4, xmpi::CollectiveMode::kTree, /*workers=*/3),
+      mini_config(4, xmpi::CollectiveMode::kScalable, /*workers=*/2,
                   xmpi::PoolMode::kOff),
   };
   for (const xmpi::RunConfig& config : variants) {
@@ -224,10 +218,8 @@ TEST(GeppMixedTest, FallbackDecisionIsBitIdenticalAcrossHosts) {
 
   const xmpi::RunConfig variants[] = {
       mini_config(4, xmpi::CollectiveMode::kScalable),
-      mini_config(4, xmpi::CollectiveMode::kTree,
-                  xmpi::ExecutorKind::kThreadPerRank),
-      mini_config(4, xmpi::CollectiveMode::kTree,
-                  xmpi::ExecutorKind::kWorkerPool, /*workers=*/2),
+      mini_config(4, xmpi::CollectiveMode::kTree, /*workers=*/4),
+      mini_config(4, xmpi::CollectiveMode::kTree, /*workers=*/2),
   };
   for (const xmpi::RunConfig& config : variants) {
     const MixedRun other = run_mixed(config, options);

@@ -433,7 +433,7 @@ TEST(SpmvKernelTest, SimdMatchesScalarToRoundingAndIsDeterministic) {
 }
 
 TEST(SpmvKernelTest, SpmvRowsPartitionReproducesFullSpmvBitwise) {
-  // The CG overlap path computes interior rows, then boundary rows, as two
+  // The CG iteration computes interior rows, then boundary rows, as two
   // spmv_rows calls — under either kernel the union must be bitwise the
   // full spmv (per-row accumulation does not depend on which call ran it).
   const std::size_t n = 180;

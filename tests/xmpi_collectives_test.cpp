@@ -4,8 +4,7 @@
 // The load-bearing contracts:
 //   * simulated outputs (durations, energy, solver results) are
 //     bit-identical with the pool on or off, with rendezvous on or off,
-//     and across executors and worker counts — the transport is host-side
-//     only;
+//     and across worker counts — the transport is host-side only;
 //   * the scalable schedules are bit-identical to the tree schedules for
 //     power-of-two rank counts (rank-order-preserving combine), and for
 //     kMax/kMin at any rank count; non-power-of-two kSum is deterministic
@@ -35,13 +34,11 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 RunConfig mini_config(int ranks, TransportConfig transport = {},
-                      ExecutorKind executor = ExecutorKind::kWorkerPool,
                       std::size_t workers = 0) {
   RunConfig config;
   config.machine = hw::mini_cluster(/*nodes=*/8, /*cores_per_socket=*/4);
   config.placement =
       hw::make_placement(ranks, hw::LoadLayout::kFullLoad, config.machine);
-  config.executor = executor;
   config.workers = workers;
   config.transport = transport;
   return config;
@@ -181,11 +178,11 @@ TEST(TransportIdentityTest, SolverOutputsBitIdenticalAcrossTransports) {
       mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOff)),
       mini_config(ranks, transport(PoolMode::kOff, RendezvousMode::kOff)),
       mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn),
-                  ExecutorKind::kWorkerPool, /*workers=*/1),
+                  /*workers=*/1),
       mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn),
-                  ExecutorKind::kWorkerPool, /*workers=*/4),
+                  /*workers=*/4),
       mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn),
-                  ExecutorKind::kThreadPerRank),
+                  /*workers=*/static_cast<std::size_t>(ranks)),
   };
   for (const RunConfig& config : variants) {
     const SolverRun variant = pdgesv_run(config);
@@ -276,7 +273,7 @@ TEST(RendezvousTest, WildcardReceivesNeverRendezvousAndPoolRecyclesSafely) {
   constexpr int kBatch = 16;
   const RunResult run = Runtime::run(
       mini_config(kRanks, transport(PoolMode::kOn, RendezvousMode::kOn),
-                  ExecutorKind::kWorkerPool, /*workers=*/4),
+                  /*workers=*/4),
       [](Comm& comm) {
         if (comm.rank() == 0) {
           long long sum = 0;
@@ -344,9 +341,7 @@ TEST(RendezvousTest, PoolStatsSurfacedThroughRunResult) {
 
 std::vector<double> run_allreduce(int ranks, CollectiveMode mode,
                                   std::vector<double> contribution_rank0,
-                                  ReduceOp op,
-                                  ExecutorKind executor =
-                                      ExecutorKind::kWorkerPool) {
+                                  ReduceOp op, std::size_t workers = 0) {
   // Rank r contributes contribution_rank0 rotated by r (so every rank's
   // vector is distinct but derived from the same pool of values, including
   // any NaNs placed in it).
@@ -354,7 +349,7 @@ std::vector<double> run_allreduce(int ranks, CollectiveMode mode,
   std::vector<double> result;
   Runtime::run(
       mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn, mode),
-                  executor),
+                  workers),
       [&](Comm& comm) {
         std::vector<double> mine(count);
         for (std::size_t i = 0; i < count; ++i) {
@@ -418,12 +413,11 @@ TEST(ScalableCollectivesTest, AllreduceNonPof2BitIdenticalToTree) {
     expect_bits_equal(run_allreduce(6, CollectiveMode::kTree, base, op),
                       run_allreduce(6, CollectiveMode::kScalable, base, op));
   }
-  // And the bytes are executor-independent.
-  const std::vector<double> scalable =
-      run_allreduce(6, CollectiveMode::kScalable, base, ReduceOp::kSum);
-  const std::vector<double> scalable_threads =
-      run_allreduce(6, CollectiveMode::kScalable, base, ReduceOp::kSum,
-                    ExecutorKind::kThreadPerRank);
+  // And the bytes are worker-count-independent, up to one worker per rank.
+  const std::vector<double> scalable = run_allreduce(
+      6, CollectiveMode::kScalable, base, ReduceOp::kSum, /*workers=*/1);
+  const std::vector<double> scalable_threads = run_allreduce(
+      6, CollectiveMode::kScalable, base, ReduceOp::kSum, /*workers=*/6);
   expect_bits_equal(scalable, scalable_threads);
 }
 

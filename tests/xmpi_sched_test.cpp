@@ -1,6 +1,6 @@
 // Tests for the worker-pool scheduler: bit-identical results across worker
-// counts and executors, abort propagation into parked ranks, deadlock
-// detection, the 1-rank inline fast path, executor/worker selection knobs
+// counts (up to one worker per rank), abort propagation into parked ranks,
+// deadlock detection, the 1-rank inline fast path, the worker-count knob
 // and the channel-indexed mailbox.
 #include <gtest/gtest.h>
 
@@ -134,10 +134,8 @@ struct CampaignRun {
 };
 
 CampaignRun run_campaign(int ranks, hw::LoadLayout layout,
-                         ExecutorKind executor, std::size_t workers,
-                         const std::string& trace_tag) {
+                         std::size_t workers, const std::string& trace_tag) {
   RunConfig config = mini_config(ranks, layout);
-  config.executor = executor;
   config.workers = workers;
   const auto trace_path = std::filesystem::temp_directory_path() /
                           ("xmpi_sched_" + trace_tag + ".json");
@@ -153,12 +151,9 @@ CampaignRun run_campaign(int ranks, hw::LoadLayout layout,
 TEST(XmpiScheduler, WorkerCountsProduceBitIdenticalResults) {
   for (const hw::LoadLayout layout :
        {hw::LoadLayout::kFullLoad, hw::LoadLayout::kHalfLoadTwoSockets}) {
-    const CampaignRun one =
-        run_campaign(16, layout, ExecutorKind::kWorkerPool, 1, "w1");
-    const CampaignRun four =
-        run_campaign(16, layout, ExecutorKind::kWorkerPool, 4, "w4");
-    const CampaignRun hardware =
-        run_campaign(16, layout, ExecutorKind::kWorkerPool, 0, "whw");
+    const CampaignRun one = run_campaign(16, layout, 1, "w1");
+    const CampaignRun four = run_campaign(16, layout, 4, "w4");
+    const CampaignRun hardware = run_campaign(16, layout, 0, "whw");
     expect_identical(one.result, four.result);
     expect_identical(one.result, hardware.result);
     EXPECT_EQ(one.trace, four.trace);
@@ -168,22 +163,24 @@ TEST(XmpiScheduler, WorkerCountsProduceBitIdenticalResults) {
 }
 
 TEST(XmpiScheduler, PoolMatchesThreadPerRankBitForBit) {
-  const CampaignRun pool = run_campaign(
-      16, hw::LoadLayout::kFullLoad, ExecutorKind::kWorkerPool, 4, "pool");
-  const CampaignRun threads = run_campaign(
-      16, hw::LoadLayout::kFullLoad, ExecutorKind::kThreadPerRank, 0,
-      "threads");
+  // workers = ranks gives every rank its own host thread: the maximum host
+  // concurrency the pool can run at.
+  const CampaignRun pool =
+      run_campaign(16, hw::LoadLayout::kFullLoad, 4, "pool");
+  const CampaignRun threads =
+      run_campaign(16, hw::LoadLayout::kFullLoad, 16, "threads");
   EXPECT_EQ(pool.result.host_executor, "pool");
-  EXPECT_EQ(threads.result.host_executor, "threads");
+  EXPECT_EQ(threads.result.host_executor, "pool");
+  EXPECT_EQ(threads.result.host_workers, 16u);
   expect_identical(pool.result, threads.result);
   EXPECT_EQ(pool.trace, threads.trace);
 }
 
 TEST(XmpiScheduler, RepeatedPoolRunsAreBitIdentical) {
-  const CampaignRun first = run_campaign(
-      12, hw::LoadLayout::kFullLoad, ExecutorKind::kWorkerPool, 3, "r1");
-  const CampaignRun second = run_campaign(
-      12, hw::LoadLayout::kFullLoad, ExecutorKind::kWorkerPool, 3, "r2");
+  const CampaignRun first =
+      run_campaign(12, hw::LoadLayout::kFullLoad, 3, "r1");
+  const CampaignRun second =
+      run_campaign(12, hw::LoadLayout::kFullLoad, 3, "r2");
   expect_identical(first.result, second.result);
   EXPECT_EQ(first.trace, second.trace);
 }
@@ -200,35 +197,29 @@ TEST(XmpiScheduler, SingleRankWorldRunsInlineOnCallingThread) {
   EXPECT_EQ(result.host_workers, 1u);
 }
 
-TEST(XmpiScheduler, EnvVariablesSelectExecutorAndWorkers) {
-  ASSERT_EQ(setenv("PLIN_XMPI_EXECUTOR", "threads", 1), 0);
-  RunResult result = Runtime::run(mini_config(4), [](Comm& comm) {
-    comm.barrier();
-  });
-  EXPECT_EQ(result.host_executor, "threads");
-
-  ASSERT_EQ(setenv("PLIN_XMPI_EXECUTOR", "pool", 1), 0);
+TEST(XmpiScheduler, EnvVariableSelectsWorkers) {
   ASSERT_EQ(setenv("PLIN_XMPI_WORKERS", "3", 1), 0);
-  result = Runtime::run(mini_config(4), [](Comm& comm) { comm.barrier(); });
+  RunResult result =
+      Runtime::run(mini_config(4), [](Comm& comm) { comm.barrier(); });
   EXPECT_EQ(result.host_executor, "pool");
   EXPECT_EQ(result.host_workers, 3u);
 
   // Explicit config wins over the environment.
   RunConfig config = mini_config(4);
-  config.executor = ExecutorKind::kWorkerPool;
   config.workers = 2;
-  ASSERT_EQ(setenv("PLIN_XMPI_EXECUTOR", "threads", 1), 0);
   result = Runtime::run(config, [](Comm& comm) { comm.barrier(); });
-  EXPECT_EQ(result.host_executor, "pool");
   EXPECT_EQ(result.host_workers, 2u);
 
-  ASSERT_EQ(unsetenv("PLIN_XMPI_EXECUTOR"), 0);
+  // More workers than ranks clamp to one worker per rank.
+  ASSERT_EQ(setenv("PLIN_XMPI_WORKERS", "64", 1), 0);
+  result = Runtime::run(mini_config(4), [](Comm& comm) { comm.barrier(); });
+  EXPECT_EQ(result.host_workers, 4u);
+
   ASSERT_EQ(unsetenv("PLIN_XMPI_WORKERS"), 0);
 }
 
 TEST(XmpiScheduler, TinyStackRequestIsClampedAndRuns) {
   RunConfig config = mini_config(8);
-  config.executor = ExecutorKind::kWorkerPool;
   config.fiber_stack_bytes = 1024;  // clamped up to a safe minimum
   const RunResult result = Runtime::run(config, mixed_campaign);
   EXPECT_GT(result.duration_s, 0.0);
@@ -254,27 +245,22 @@ void aborting_campaign(Comm& comm) {
 
 TEST(XmpiScheduler, AbortUnparksEveryRankInPool) {
   RunConfig config = mini_config(12);
-  config.executor = ExecutorKind::kWorkerPool;
   config.workers = 4;
   EXPECT_THROW(Runtime::run(config, aborting_campaign), CampaignError);
 }
 
-TEST(XmpiScheduler, AbortUnparksEveryRankInThreadFallback) {
+TEST(XmpiScheduler, AbortUnparksEveryRankWithOneWorkerPerRank) {
   RunConfig config = mini_config(12);
-  config.executor = ExecutorKind::kThreadPerRank;
+  config.workers = 12;
   EXPECT_THROW(Runtime::run(config, aborting_campaign), CampaignError);
 }
 
-TEST(XmpiScheduler, DeadlockIsDetectedAndDiagnosed) {
-  RunConfig config = mini_config(4);
-  config.executor = ExecutorKind::kWorkerPool;
-  config.workers = 2;
+/// Runs `rank_main` and expects the deadlock diagnosis, not a bare Aborted
+/// and not a hang.
+void expect_deadlock(const RunConfig& config,
+                     const Runtime::RankMain& rank_main) {
   try {
-    // Everyone receives, nobody sends: a guaranteed communication deadlock
-    // that thread-per-rank would hang on forever.
-    Runtime::run(config, [](Comm& comm) {
-      (void)comm.recv_value<int>((comm.rank() + 1) % comm.size(), /*tag=*/1);
-    });
+    Runtime::run(config, rank_main);
     FAIL() << "deadlocked run returned";
   } catch (const Aborted&) {
     FAIL() << "deadlock surfaced as a bare Aborted instead of a diagnosis";
@@ -283,10 +269,26 @@ TEST(XmpiScheduler, DeadlockIsDetectedAndDiagnosed) {
   }
 }
 
+TEST(XmpiScheduler, DeadlockIsDetectedAndDiagnosed) {
+  RunConfig config = mini_config(4);
+  config.workers = 2;
+  // Everyone receives, nobody sends: a guaranteed communication deadlock.
+  expect_deadlock(config, [](Comm& comm) {
+    (void)comm.recv_value<int>((comm.rank() + 1) % comm.size(), /*tag=*/1);
+  });
+}
+
+TEST(XmpiScheduler, SingleRankDeadlockIsDetectedAndDiagnosed) {
+  // The inline path has no scheduler, but its only rank is also the only
+  // possible sender, so an unmatched receive must fail the same way.
+  expect_deadlock(mini_config(1), [](Comm& comm) {
+    (void)comm.recv_value<int>(kAnySource, /*tag=*/424242);
+  });
+}
+
 TEST(XmpiScheduler, ManyMoreRanksThanWorkersComplete) {
   RunConfig config = mini_config(96, hw::LoadLayout::kFullLoad,
                                  /*cores_per_socket=*/4);
-  config.executor = ExecutorKind::kWorkerPool;
   config.workers = 2;
   const RunResult result = Runtime::run(config, [](Comm& comm) {
     // Ring neighbour exchange forces every rank through park/resume.
