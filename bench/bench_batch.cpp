@@ -80,18 +80,15 @@ int main(int argc, char** argv) {
   const bool check = args.get_bool("check", false);
   const std::string out_path = args.get("out", "BENCH_batch.json");
 
-  batch::CampaignManifest manifest;
-  manifest.name = smoke ? "bench-batch-smoke" : "bench-batch";
-  manifest.tier = batch::Tier::kNumeric;
-  manifest.machine = "mini:8x4";
-  manifest.algorithms = {perfsim::Algorithm::kIme,
-                         perfsim::Algorithm::kScalapack};
-  manifest.sizes = smoke ? std::vector<std::size_t>{96, 128}
-                         : std::vector<std::size_t>{128, 192, 256};
-  manifest.rank_counts = smoke ? std::vector<int>{4} : std::vector<int>{4, 8};
-  manifest.layouts = {hw::LoadLayout::kFullLoad,
-                      hw::LoadLayout::kHalfLoadTwoSockets};
-  manifest.repetitions = 2;
+  constexpr int kReps = 2;
+  const batch::CampaignManifest manifest = batch::parse_manifest(
+      std::string(smoke ? "campaign bench-batch-smoke\n"
+                        : "campaign bench-batch\n") +
+      "tier numeric\nmachine mini:8x4\nreps " + std::to_string(kReps) +
+      "\ngrid algorithm ime scalapack\n" +
+      (smoke ? "grid n 96 128\ngrid ranks 4\n"
+             : "grid n 128 192 256\ngrid ranks 4 8\n") +
+      "grid layout full half2\n");
 
   std::vector<Case> cases;
   try {
@@ -127,7 +124,7 @@ int main(int argc, char** argv) {
                    std::to_string(c.executed), std::to_string(c.cached)});
   }
   std::cout << "batch orchestrator harness (" << manifest.job_count()
-            << " jobs x " << manifest.repetitions << " reps, numeric tier"
+            << " jobs x " << kReps << " reps, numeric tier"
             << (smoke ? ", smoke" : "") << ")\n\n";
   table.print(std::cout);
 

@@ -14,6 +14,7 @@
 #include "hwmodel/placement.hpp"
 #include "monitor/campaign.hpp"
 #include "perfsim/simulator.hpp"
+#include "solvers/efficiency.hpp"
 #include "support/csv.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"

@@ -35,19 +35,17 @@ int main(int argc, char** argv) {
 
   // The miniature sweep: sizes and rank counts scaled to the container,
   // same structure as the paper's (4 sizes x 3 rank counts x 3 layouts).
-  batch::CampaignManifest manifest;
-  manifest.name = "energy-campaign-mini";
-  manifest.tier = batch::Tier::kNumeric;
-  manifest.machine = "mini:16x4";
-  manifest.algorithms = {perfsim::Algorithm::kIme,
-                         perfsim::Algorithm::kScalapack};
-  manifest.sizes = {256, 384, 512};
-  manifest.rank_counts = {8, 16};
-  manifest.layouts = {hw::LoadLayout::kFullLoad,
-                      hw::LoadLayout::kHalfLoadOneSocket,
-                      hw::LoadLayout::kHalfLoadTwoSockets};
-  manifest.blocks = {32};
-  manifest.repetitions = static_cast<int>(args.get_int("reps", 2));
+  const int reps = static_cast<int>(args.get_int("reps", 2));
+  batch::CampaignManifest manifest = batch::parse_manifest(
+      "campaign energy-campaign-mini\n"
+      "tier     numeric\n"
+      "machine  mini:16x4\n"
+      "reps     " + std::to_string(reps) + "\n"
+      "grid algorithm ime scalapack\n"
+      "grid n         256 384 512\n"
+      "grid ranks     8 16\n"
+      "grid layout    full half1 half2\n"
+      "grid nb        32\n");
   manifest.workers = static_cast<int>(args.get_int("workers", 2));
 
   batch::CampaignOptions options;
@@ -58,7 +56,7 @@ int main(int argc, char** argv) {
         batch::run_campaign(manifest, options);
 
     std::cout << "\nCampaign results (" << result.records.size()
-              << " jobs x " << manifest.repetitions
+              << " jobs x " << reps
               << " repetitions, numeric tier; " << result.outcome.executed
               << " executed now, " << result.outcome.cached
               << " served from the store)\n\n";

@@ -1,6 +1,8 @@
 #include "batch/manifest.hpp"
 
 #include <fstream>
+#include <limits>
+#include <span>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -43,177 +45,86 @@ double parse_num(const KvLine& line, const std::string& token) {
   }
 }
 
-void parse_grid(CampaignManifest& manifest, const KvLine& line) {
-  if (line.values.size() < 2) {
-    fail(line, "grid lines need an axis name and at least one value");
+/// Sets the values axis `name` spans from `tokens`.
+void set_axis(CampaignManifest& manifest, const KvLine& line,
+              const std::string& name,
+              std::span<const std::string> tokens) {
+  const Axis* axis = find_axis(name);
+  if (axis == nullptr) {
+    std::string names;
+    for (const Axis& a : axes()) names += std::string(" | ") + a.name;
+    fail(line, "unknown axis '" + name + "' (" + names.substr(3) + ")");
   }
-  const std::string& axis = line.values[0];
-  const auto tokens =
-      std::vector<std::string>(line.values.begin() + 1, line.values.end());
-  try {
-    if (axis == "algorithm") {
-      manifest.algorithms.clear();
-      for (const auto& t : tokens) {
-        manifest.algorithms.push_back(parse_algorithm_token(t));
-      }
-    } else if (axis == "n") {
-      manifest.sizes.clear();
-      for (const auto& t : tokens) {
-        const long v = parse_long(line, t);
-        if (v <= 0) fail(line, "n must be positive: " + t);
-        manifest.sizes.push_back(static_cast<std::size_t>(v));
-      }
-    } else if (axis == "ranks") {
-      manifest.rank_counts.clear();
-      for (const auto& t : tokens) {
-        const long v = parse_long(line, t);
-        if (v <= 0) fail(line, "ranks must be positive: " + t);
-        manifest.rank_counts.push_back(static_cast<int>(v));
-      }
-    } else if (axis == "layout") {
-      manifest.layouts.clear();
-      for (const auto& t : tokens) {
-        manifest.layouts.push_back(parse_layout_token(t));
-      }
-    } else if (axis == "nb") {
-      manifest.blocks.clear();
-      for (const auto& t : tokens) {
-        const long v = parse_long(line, t);
-        if (v <= 0) fail(line, "nb must be positive: " + t);
-        manifest.blocks.push_back(static_cast<std::size_t>(v));
-      }
-    } else if (axis == "seed") {
-      manifest.seeds.clear();
-      for (const auto& t : tokens) {
-        manifest.seeds.push_back(
-            static_cast<std::uint64_t>(parse_long(line, t)));
-      }
-    } else if (axis == "power_cap_w") {
-      manifest.power_caps_w.clear();
-      for (const auto& t : tokens) {
-        const double v = parse_num(line, t);
-        if (v < 0.0) fail(line, "power_cap_w must be >= 0: " + t);
-        manifest.power_caps_w.push_back(v);
-      }
-    } else if (axis == "precision") {
-      manifest.precisions.clear();
-      for (const auto& t : tokens) {
-        manifest.precisions.push_back(parse_precision_token(t));
-      }
-    } else if (axis == "matrix") {
-      manifest.matrices.clear();
-      for (const auto& t : tokens) {
-        manifest.matrices.push_back(sparse::parse_kind_token(t));
-      }
-    } else if (axis == "precond") {
-      manifest.preconds.clear();
-      for (const auto& t : tokens) {
-        manifest.preconds.push_back(solvers::parse_precond_token(t));
-      }
-    } else {
-      fail(line, "unknown grid axis '" + axis +
-                     "' (algorithm | n | ranks | layout | nb | seed | "
-                     "power_cap_w | precision | matrix | precond)");
+  std::vector<JobSpec>& values =
+      manifest.grid[static_cast<std::size_t>(axis - axes().data())];
+  values.assign(tokens.size(), JobSpec{});
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    try {
+      axis->codec.parse(values[i], tokens[i]);
+    } catch (const InvalidArgument& e) {
+      fail(line, name + ": " + e.what());
     }
-  } catch (const InvalidArgument&) {
-    throw;  // already carries line context or a precise token message
   }
+}
+
+// Saturating arithmetic, so an absurd grid cannot wrap past the size limit.
+constexpr std::size_t kSizeMax = std::numeric_limits<std::size_t>::max();
+
+std::size_t saturating_mul(std::size_t a, std::size_t b) {
+  return b != 0 && a > kSizeMax / b ? kSizeMax : a * b;
 }
 
 }  // namespace
 
+const std::vector<JobSpec>& CampaignManifest::values(
+    std::string_view name) const {
+  const Axis* axis = find_axis(name);
+  PLIN_CHECK_MSG(axis != nullptr, "manifest: unknown axis");
+  return grid[static_cast<std::size_t>(axis - axes().data())];
+}
+
 std::vector<JobSpec> CampaignManifest::expand() const {
+  const std::span<const Axis> table = axes();
   std::vector<JobSpec> specs;
   specs.reserve(job_count());
-  for (const perfsim::Algorithm algorithm : algorithms) {
-    for (const std::size_t n : sizes) {
-      for (const int ranks : rank_counts) {
-        for (const hw::LoadLayout layout : layouts) {
-          for (const std::size_t nb : blocks) {
-            for (const std::uint64_t seed : seeds) {
-              for (const double cap_w : power_caps_w) {
-                for (const perfsim::Precision precision : precisions) {
-                  // Mixed precision is a GEPP variant; on a grid that also
-                  // spans other algorithms, the mixed point only exists for
-                  // scalapack (the cross product would otherwise demand an
-                  // fp32 IMe/Jacobi that has no implementation or meaning).
-                  if (precision != perfsim::Precision::kFp64 &&
-                      algorithm != perfsim::Algorithm::kScalapack) {
-                    continue;
-                  }
-                  for (const sparse::SparseKind matrix : matrices) {
-                    // The matrix axis is a cg concept; on a mixed grid the
-                    // other algorithms take exactly one point regardless of
-                    // how many families the axis lists.
-                    if (matrix != sparse::SparseKind::kStencil5 &&
-                        algorithm != perfsim::Algorithm::kCg) {
-                      continue;
-                    }
-                    for (const solvers::CgPrecond precond : preconds) {
-                      // Same rule for the precond axis: preconditioned
-                      // points exist for cg only.
-                      if (precond != solvers::CgPrecond::kNone &&
-                          algorithm != perfsim::Algorithm::kCg) {
-                        continue;
-                      }
-                      JobSpec spec;
-                      spec.tier = tier;
-                      spec.machine = machine;
-                      spec.algorithm = algorithm;
-                      spec.n = n;
-                      spec.ranks = ranks;
-                      spec.layout = layout;
-                      spec.nb = nb;
-                      spec.seed = seed;
-                      spec.repetitions = repetitions;
-                      spec.iterations = iterations;
-                      spec.power_cap_w = cap_w;
-                      spec.precision = precision;
-                      spec.matrix = matrix;
-                      spec.precond = precond;
-                      specs.push_back(std::move(spec));
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
+  JobSpec spec;
+  // Odometer over the axes, the first outermost; a point holding a value
+  // its algorithm does not accept is skipped.
+  const auto walk = [&](const auto& self, std::size_t i) -> void {
+    if (i == table.size()) {
+      for (const Axis& axis : table) {
+        if (!axis.allows(spec, spec.algorithm)) return;
       }
+      specs.push_back(spec);
+      return;
     }
-  }
+    for (const JobSpec& value : grid[i]) {
+      table[i].codec.copy(spec, value);
+      self(self, i + 1);
+    }
+  };
+  walk(walk, 0);
   return specs;
 }
 
 std::size_t CampaignManifest::job_count() const {
-  // Mirrors the skips in expand(): non-fp64 points exist for scalapack
-  // only, non-default matrices for cg only.
-  std::size_t fp64_points = 0;
-  for (const perfsim::Precision precision : precisions) {
-    if (precision == perfsim::Precision::kFp64) ++fp64_points;
+  // Whether a value is accepted depends only on the algorithm, so count
+  // each algorithm's points as a product over the other axes.
+  const std::span<const Axis> table = axes();
+  std::size_t total = 0;
+  for (const JobSpec& point : values("algorithm")) {
+    std::size_t points = 1;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      if (std::string_view(table[i].name) == "algorithm") continue;
+      std::size_t accepted = 0;
+      for (const JobSpec& value : grid[i]) {
+        if (table[i].allows(value, point.algorithm)) ++accepted;
+      }
+      points = saturating_mul(points, accepted);
+    }
+    total = points > kSizeMax - total ? kSizeMax : total + points;
   }
-  std::size_t default_matrix_points = 0;
-  for (const sparse::SparseKind matrix : matrices) {
-    if (matrix == sparse::SparseKind::kStencil5) ++default_matrix_points;
-  }
-  std::size_t default_precond_points = 0;
-  for (const solvers::CgPrecond precond : preconds) {
-    if (precond == solvers::CgPrecond::kNone) ++default_precond_points;
-  }
-  std::size_t algorithm_points = 0;
-  for (const perfsim::Algorithm algorithm : algorithms) {
-    const std::size_t precision_points =
-        algorithm == perfsim::Algorithm::kScalapack ? precisions.size()
-                                                    : fp64_points;
-    const bool is_cg = algorithm == perfsim::Algorithm::kCg;
-    const std::size_t matrix_points =
-        is_cg ? matrices.size() : default_matrix_points;
-    const std::size_t precond_points =
-        is_cg ? preconds.size() : default_precond_points;
-    algorithm_points += precision_points * matrix_points * precond_points;
-  }
-  return algorithm_points * sizes.size() * rank_counts.size() *
-         layouts.size() * blocks.size() * seeds.size() * power_caps_w.size();
+  return total;
 }
 
 CampaignManifest parse_manifest(const std::string& text) {
@@ -221,16 +132,6 @@ CampaignManifest parse_manifest(const std::string& text) {
   for (const KvLine& line : parse_kv_text(text)) {
     if (line.key == "campaign") {
       manifest.name = single_value(line);
-    } else if (line.key == "tier") {
-      manifest.tier = parse_tier(single_value(line));
-    } else if (line.key == "machine") {
-      // Resolve eagerly so typos fail at parse time, not mid-campaign.
-      (void)machine_from_name(single_value(line));
-      manifest.machine = single_value(line);
-    } else if (line.key == "reps") {
-      const long v = parse_long(line, single_value(line));
-      if (v <= 0) fail(line, "reps must be positive");
-      manifest.repetitions = static_cast<int>(v);
     } else if (line.key == "workers") {
       const long v = parse_long(line, single_value(line));
       if (v <= 0) fail(line, "workers must be positive");
@@ -243,22 +144,24 @@ CampaignManifest parse_manifest(const std::string& text) {
       const double v = parse_num(line, single_value(line));
       if (v < 0.0) fail(line, "timeout_s must be >= 0");
       manifest.timeout_s = v;
-    } else if (line.key == "iterations") {
-      const long v = parse_long(line, single_value(line));
-      if (v <= 0) fail(line, "iterations must be positive");
-      manifest.iterations = static_cast<int>(v);
     } else if (line.key == "grid") {
-      parse_grid(manifest, line);
+      if (line.values.size() < 2) {
+        fail(line, "grid lines need an axis name and at least one value");
+      }
+      set_axis(manifest, line, line.values[0],
+               std::span(line.values).subspan(1));
+    } else if (find_axis(line.key) != nullptr) {
+      set_axis(manifest, line, line.key, std::span(&single_value(line), 1));
     } else {
       fail(line, "unknown key '" + line.key +
-                     "' (campaign | tier | machine | reps | workers | "
-                     "retries | timeout_s | iterations | grid)");
+                     "' (campaign | workers | retries | timeout_s | grid | "
+                     "an axis name)");
     }
   }
 
-  if (manifest.tier == Tier::kReplay) {
-    for (const double cap : manifest.power_caps_w) {
-      if (cap > 0.0) {
+  for (const JobSpec& tier : manifest.values("tier")) {
+    for (const JobSpec& cap : manifest.values("power_cap_w")) {
+      if (tier.tier == Tier::kReplay && cap.power_cap_w > 0.0) {
         throw InvalidArgument(
             "manifest: power caps are numeric-tier only (perfsim does not "
             "model capped frequency scaling)");

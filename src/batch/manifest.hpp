@@ -1,9 +1,8 @@
 // Campaign manifests — the declarative analogue of the paper's SLURM batch
-// scripts. A manifest names the campaign, picks a tier and machine, sets
-// execution policy (workers, retries, timeout) and spans a grid over
-// algorithm / n / ranks / layout / nb / seed / power cap / precision /
-// matrix / precond. Syntax is the
-// support/kvfile line format; see docs/campaign.md for the reference.
+// scripts. A manifest names the campaign, sets execution policy (workers,
+// retries, timeout) and spans a grid over the JobSpec axes (monitor/spec.hpp).
+// Syntax is the support/kvfile line format; see docs/campaign.md for the
+// reference.
 //
 //   campaign  ci-smoke
 //   tier      numeric
@@ -17,14 +16,18 @@
 //   grid ranks     4 8
 //   grid layout    full half1 half2
 //
-// expand() walks the grid in declaration-independent canonical order
-// (algorithm, n, ranks, layout, nb, seed, cap, precision, matrix, precond
-// — outermost first), so job order, and therefore every report derived
-// from it, is deterministic.
+// A line keyed by an axis name sets that axis to one value; `grid <axis>`
+// spans several. expand() walks the grid in axis-table order (tier,
+// machine, algorithm, n, ranks, layout, nb, seed, reps, iterations, cap,
+// precision, matrix, precond, tolerance — outermost first), whatever the
+// order of the lines, so job order, and therefore every report derived
+// from it, is deterministic. A non-default value expands only for the
+// algorithms its axis accepts (mixed for scalapack, matrix / precond /
+// tolerance for cg): the other algorithms keep their single default point.
 #pragma once
 
-#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "batch/spec.hpp"
@@ -33,30 +36,18 @@ namespace plin::batch {
 
 struct CampaignManifest {
   std::string name = "campaign";
-  Tier tier = Tier::kNumeric;
-  std::string machine = "mini:16x4";
-  int repetitions = 1;
   int workers = 1;
   int retries = 0;
   double timeout_s = 0.0;  // per job; 0 = unlimited
-  int iterations = 100;    // Jacobi replay sweeps
 
-  // Grid axes (each must be non-empty after parsing; defaults below).
-  std::vector<perfsim::Algorithm> algorithms = {perfsim::Algorithm::kIme};
-  std::vector<std::size_t> sizes = {256};
-  std::vector<int> rank_counts = {4};
-  std::vector<hw::LoadLayout> layouts = {hw::LoadLayout::kFullLoad};
-  std::vector<std::size_t> blocks = {32};
-  std::vector<std::uint64_t> seeds = {1};
-  std::vector<double> power_caps_w = {0.0};
-  /// Precision axis; "mixed" expands for scalapack points only (numeric
-  /// tier), so fp64-only campaigns are unaffected by its presence.
-  std::vector<perfsim::Precision> precisions = {perfsim::Precision::kFp64};
-  /// Sparse-family axis; non-default kinds expand for cg points only, so
-  /// dense campaigns are unaffected by its presence.
-  std::vector<sparse::SparseKind> matrices = {sparse::SparseKind::kStencil5};
-  /// Preconditioner axis; non-default values expand for cg points only.
-  std::vector<solvers::CgPrecond> preconds = {solvers::CgPrecond::kNone};
+  /// One entry per axis, in axes() order: the values the axis spans, each
+  /// held in an otherwise-default JobSpec. An axis the manifest does not
+  /// name spans its default alone.
+  std::vector<std::vector<JobSpec>> grid =
+      std::vector<std::vector<JobSpec>>(axes().size(), {JobSpec{}});
+
+  /// The values axis `name` spans.
+  const std::vector<JobSpec>& values(std::string_view name) const;
 
   /// Expands the grid into one JobSpec per point, canonical order.
   std::vector<JobSpec> expand() const;

@@ -5,35 +5,9 @@
 namespace plin::batch {
 
 json::Value to_json(const JobRecord& record) {
-  json::Value spec = json::make_object();
-  spec.set("tier", to_string(record.spec.tier));
-  spec.set("machine", record.spec.machine);
-  spec.set("algorithm", algorithm_token(record.spec.algorithm));
-  spec.set("n", static_cast<double>(record.spec.n));
-  spec.set("ranks", record.spec.ranks);
-  spec.set("layout", layout_token(record.spec.layout));
-  spec.set("nb", static_cast<double>(record.spec.nb));
-  spec.set("seed", static_cast<double>(record.spec.seed));
-  spec.set("reps", record.spec.repetitions);
-  spec.set("iterations", record.spec.iterations);
-  spec.set("power_cap_w", record.spec.power_cap_w);
-  // Written only for the non-default so records from fp64-only stores stay
-  // byte-stable across versions (mirrors JobSpec::canonical()).
-  if (record.spec.precision != perfsim::Precision::kFp64) {
-    spec.set("precision", precision_token(record.spec.precision));
-  }
-  // Same conditional rule for the sparse fields: only cg jobs carry them,
-  // so dense-only stores stay byte-stable across versions.
-  const bool is_cg = record.spec.algorithm == perfsim::Algorithm::kCg;
-  if (is_cg) {
-    spec.set("matrix", sparse::kind_token(record.spec.matrix));
-    // The precond axis only for preconditioned cg jobs — plain-cg stores
-    // stay byte-stable (mirrors JobSpec::canonical()).
-    if (record.spec.precond != solvers::CgPrecond::kNone) {
-      spec.set("precond", solvers::precond_token(record.spec.precond));
-    }
-  }
-
+  // The cg counters are written for cg jobs only, so dense-only stores stay
+  // byte-stable across versions (the spec codec keeps the same rule).
+  const bool cg = record.spec.algorithm == perfsim::Algorithm::kCg;
   json::Array reps;
   reps.reserve(record.repetitions.size());
   for (const RepetitionRecord& rep : record.repetitions) {
@@ -45,7 +19,7 @@ json::Value to_json(const JobRecord& record) {
     r.set("dram1_j", rep.dram_j[1]);
     r.set("residual", rep.residual);
     r.set("host_s", rep.host_s);
-    if (is_cg) {
+    if (cg) {
       r.set("cg_iters", rep.cg_iters);
       r.set("nnz", static_cast<double>(rep.nnz));
       r.set("halo_msgs", static_cast<double>(rep.halo_messages));
@@ -56,36 +30,14 @@ json::Value to_json(const JobRecord& record) {
 
   json::Value root = json::make_object();
   root.set("key", record.key());
-  root.set("spec", std::move(spec));
+  root.set("spec", spec_to_json(record.spec));
   root.set("reps", json::Value(std::move(reps)));
   return root;
 }
 
 JobRecord record_from_json(const json::Value& value) {
   JobRecord record;
-  const json::Value& spec = value.at("spec");
-  record.spec.tier = parse_tier(spec.at("tier").as_string());
-  record.spec.machine = spec.at("machine").as_string();
-  record.spec.algorithm =
-      parse_algorithm_token(spec.at("algorithm").as_string());
-  record.spec.n = static_cast<std::size_t>(spec.at("n").as_number());
-  record.spec.ranks = static_cast<int>(spec.at("ranks").as_number());
-  record.spec.layout = parse_layout_token(spec.at("layout").as_string());
-  record.spec.nb = static_cast<std::size_t>(spec.at("nb").as_number());
-  record.spec.seed = static_cast<std::uint64_t>(spec.at("seed").as_number());
-  record.spec.repetitions = static_cast<int>(spec.at("reps").as_number());
-  record.spec.iterations =
-      static_cast<int>(spec.at("iterations").as_number());
-  record.spec.power_cap_w = spec.at("power_cap_w").as_number();
-  if (const json::Value* precision = spec.find("precision")) {
-    record.spec.precision = parse_precision_token(precision->as_string());
-  }
-  if (const json::Value* matrix = spec.find("matrix")) {
-    record.spec.matrix = sparse::parse_kind_token(matrix->as_string());
-  }
-  if (const json::Value* precond = spec.find("precond")) {
-    record.spec.precond = solvers::parse_precond_token(precond->as_string());
-  }
+  record.spec = spec_from_json(value.at("spec"));
 
   for (const json::Value& r : value.at("reps").as_array()) {
     RepetitionRecord rep;
@@ -97,16 +49,16 @@ JobRecord record_from_json(const json::Value& value) {
     rep.residual = r.at("residual").as_number();
     rep.host_s = r.at("host_s").as_number();
     if (const json::Value* iters = r.find("cg_iters")) {
-      rep.cg_iters = static_cast<int>(iters->as_number());
+      rep.cg_iters = json::as_integer<int>(*iters);
     }
     if (const json::Value* nnz = r.find("nnz")) {
-      rep.nnz = static_cast<std::size_t>(nnz->as_number());
+      rep.nnz = json::as_integer<std::size_t>(*nnz);
     }
     if (const json::Value* msgs = r.find("halo_msgs")) {
-      rep.halo_messages = static_cast<std::uint64_t>(msgs->as_number());
+      rep.halo_messages = json::as_integer<std::uint64_t>(*msgs);
     }
     if (const json::Value* bytes = r.find("halo_bytes")) {
-      rep.halo_bytes = static_cast<std::uint64_t>(bytes->as_number());
+      rep.halo_bytes = json::as_integer<std::uint64_t>(*bytes);
     }
     record.repetitions.push_back(rep);
   }

@@ -44,48 +44,24 @@ JobAggregate aggregate(const JobRecord& record) {
   return agg;
 }
 
-std::vector<std::string> spec_cells(const JobSpec& spec) {
-  return {to_string(spec.tier),
-          spec.machine,
-          algorithm_token(spec.algorithm),
-          std::to_string(spec.n),
-          std::to_string(spec.ranks),
-          layout_token(spec.layout),
-          std::to_string(spec.nb),
-          std::to_string(spec.seed),
-          format_fixed(spec.power_cap_w, 1),
-          std::to_string(spec.repetitions)};
+/// The leading spec cells of a CSV row: tier, machine and algorithm, the
+/// optional columns, then the always-keyed fields.
+std::vector<std::string> spec_cells(const JobSpec& spec,
+                                    const OptionalColumns& optional) {
+  std::vector<std::string> cells = {to_string(spec.tier), spec.machine,
+                                    algorithm_token(spec.algorithm)};
+  for (const Axis* axis : optional.axes) cells.push_back(axis->cell(spec));
+  cells.insert(cells.end(),
+               {std::to_string(spec.n), std::to_string(spec.ranks),
+                layout_token(spec.layout), std::to_string(spec.nb),
+                std::to_string(spec.seed), format_fixed(spec.power_cap_w, 1),
+                std::to_string(spec.repetitions)});
+  return cells;
 }
 
-// The precision column appears only when a mixed job is present, so the
-// long-standing fp64-only report layouts stay byte-identical.
-bool any_mixed(std::span<const JobRecord> records) {
-  for (const JobRecord& record : records) {
-    if (record.spec.precision != perfsim::Precision::kFp64) return true;
-  }
-  return false;
-}
-
-// Same contract for the sparse columns (matrix / cg_iters / nnz): they
-// appear only when a cg job is present.
-bool any_cg(std::span<const JobRecord> records) {
-  for (const JobRecord& record : records) {
-    if (record.spec.algorithm == perfsim::Algorithm::kCg) return true;
-  }
-  return false;
-}
-
-bool is_cg(const JobRecord& record) {
-  return record.spec.algorithm == perfsim::Algorithm::kCg;
-}
-
-// And for the precond column: it appears only when a preconditioned job is
-// present, so plain-cg reports keep their historical layout.
-bool any_precond(std::span<const JobRecord> records) {
-  for (const JobRecord& record : records) {
-    if (record.spec.precond != solvers::CgPrecond::kNone) return true;
-  }
-  return false;
+/// Whether a record carries cg results: jobs with a sparse matrix.
+bool has_cg_results(const JobRecord& record) {
+  return find_axis("matrix")->applies_to(record.spec.algorithm);
 }
 
 /// First-repetition iteration count — CG is deterministic, so every
@@ -128,45 +104,27 @@ std::vector<JobRecord> collect_records(std::span<const JobSpec> specs,
 }
 
 void write_report_csv(std::ostream& os, std::span<const JobRecord> records) {
-  const bool mixed = any_mixed(records);
-  const bool cg = any_cg(records);
-  const bool precond = any_precond(records);
+  // Reports without mixed or cg jobs keep their historical layouts byte for
+  // byte: the optional columns follow the algorithm, and the cg result
+  // columns ride on the matrix column.
+  const OptionalColumns optional = optional_columns(records);
+  const bool cg_results = optional.has("matrix");
   CsvWriter csv(os);
-  std::vector<std::string> header = {
-      "tier", "machine", "algorithm", "n", "ranks", "layout",
-      "nb", "seed", "power_cap_w", "reps",
-      "duration_mean_s", "duration_stddev_s", "duration_ci95_s",
-      "duration_min_s", "duration_max_s",
-      "total_mean_j", "total_stddev_j", "total_ci95_j",
-      "pkg_mean_j", "dram_mean_j", "power_mean_w",
-      "residual_worst"};
-  if (cg) {
-    header.insert(header.begin() + 3, "matrix");
-    if (precond) header.insert(header.begin() + 4, "precond");
-    header.push_back("cg_iters");
-    header.push_back("nnz");
-    header.push_back("halo_msgs");
-    header.push_back("halo_bytes");
+  std::vector<std::string> header = {"tier", "machine", "algorithm"};
+  for (const Axis* axis : optional.axes) header.push_back(axis->name);
+  header.insert(header.end(),
+                {"n", "ranks", "layout", "nb", "seed", "power_cap_w", "reps",
+                 "duration_mean_s", "duration_stddev_s", "duration_ci95_s",
+                 "duration_min_s", "duration_max_s", "total_mean_j",
+                 "total_stddev_j", "total_ci95_j", "pkg_mean_j", "dram_mean_j",
+                 "power_mean_w", "residual_worst"});
+  if (cg_results) {
+    header.insert(header.end(), {"cg_iters", "nnz", "halo_msgs", "halo_bytes"});
   }
-  if (mixed) header.insert(header.begin() + 3, "precision");
   csv.write_row(header);
   for (const JobRecord& record : records) {
     const JobAggregate agg = aggregate(record);
-    std::vector<std::string> row = spec_cells(record.spec);
-    if (cg) {
-      row.insert(row.begin() + 3,
-                 is_cg(record) ? sparse::kind_token(record.spec.matrix)
-                               : "-");
-      if (precond) {
-        row.insert(row.begin() + 4,
-                   is_cg(record)
-                       ? solvers::precond_token(record.spec.precond)
-                       : "-");
-      }
-    }
-    if (mixed) {
-      row.insert(row.begin() + 3, precision_token(record.spec.precision));
-    }
+    std::vector<std::string> row = spec_cells(record.spec, optional);
     row.push_back(format_fixed(agg.duration.mean, 9));
     row.push_back(format_fixed(agg.duration.stddev, 9));
     row.push_back(format_fixed(agg.duration.ci95_half, 9));
@@ -179,11 +137,10 @@ void write_report_csv(std::ostream& os, std::span<const JobRecord> records) {
     row.push_back(format_fixed(agg.dram_j.mean, 6));
     row.push_back(format_fixed(agg.power_w, 3));
     row.push_back(format_fixed(agg.worst_residual, 18));
-    if (cg) {
-      row.push_back(is_cg(record) ? std::to_string(record_cg_iters(record))
-                                  : "0");
-      row.push_back(is_cg(record) ? std::to_string(record_nnz(record))
-                                  : "0");
+    if (cg_results) {
+      const bool has = has_cg_results(record);
+      row.push_back(has ? std::to_string(record_cg_iters(record)) : "0");
+      row.push_back(has ? std::to_string(record_nnz(record)) : "0");
       row.push_back(std::to_string(record_halo_msgs(record)));
       row.push_back(std::to_string(record_halo_bytes(record)));
     }
@@ -193,30 +150,23 @@ void write_report_csv(std::ostream& os, std::span<const JobRecord> records) {
 
 void write_report_markdown(std::ostream& os,
                            std::span<const JobRecord> records) {
-  const bool mixed = any_mixed(records);
-  const bool cg = any_cg(records);
-  const bool precond = any_precond(records);
-  os << "| tier | algorithm |" << (mixed ? " precision |" : "")
-     << (cg ? " matrix |" : "") << (precond ? " precond |" : "")
-     << " n | ranks | layout | reps | duration | "
-        "energy | power | worst residual |"
-     << (cg ? " iters | nnz | halo msgs | halo bytes |" : "") << "\n";
-  os << "|---|---|" << (mixed ? "---|" : "") << (cg ? "---|" : "")
-     << (precond ? "---|" : "") << "---|---|---|---|---|---|---|---|"
-     << (cg ? "---|---|---|---|" : "") << "\n";
+  const OptionalColumns optional = optional_columns(records);
+  const bool cg_results = optional.has("matrix");
+  os << "| tier | algorithm |";
+  for (const Axis* axis : optional.axes) os << " " << axis->name << " |";
+  os << " n | ranks | layout | reps | duration | energy | power | "
+        "worst residual |"
+     << (cg_results ? " iters | nnz | halo msgs | halo bytes |" : "") << "\n";
+  os << "|---|---|";
+  for (std::size_t i = 0; i < optional.axes.size(); ++i) os << "---|";
+  os << "---|---|---|---|---|---|---|---|"
+     << (cg_results ? "---|---|---|---|" : "") << "\n";
   for (const JobRecord& record : records) {
     const JobAggregate agg = aggregate(record);
     os << "| " << to_string(record.spec.tier) << " | "
        << algorithm_token(record.spec.algorithm) << " | ";
-    if (mixed) os << precision_token(record.spec.precision) << " | ";
-    if (cg) {
-      os << (is_cg(record) ? sparse::kind_token(record.spec.matrix) : "-")
-         << " | ";
-    }
-    if (precond) {
-      os << (is_cg(record) ? solvers::precond_token(record.spec.precond)
-                           : "-")
-         << " | ";
+    for (const Axis* axis : optional.axes) {
+      os << axis->cell(record.spec) << " | ";
     }
     os << record.spec.n
        << " | " << record.spec.ranks << " | "
@@ -232,8 +182,8 @@ void write_report_markdown(std::ostream& os,
     }
     os << " | " << format_power(agg.power_w) << " | "
        << format_fixed(agg.worst_residual * 1e15, 2) << "e-15 |";
-    if (cg) {
-      if (is_cg(record)) {
+    if (cg_results) {
+      if (has_cg_results(record)) {
         os << " " << record_cg_iters(record) << " | " << record_nnz(record)
            << " | " << record_halo_msgs(record) << " | "
            << record_halo_bytes(record) << " |";
@@ -247,62 +197,42 @@ void write_report_markdown(std::ostream& os,
 
 void print_report_table(std::ostream& os,
                         std::span<const JobRecord> records) {
-  const bool mixed = any_mixed(records);
-  const bool cg = any_cg(records);
-  const bool precond = any_precond(records);
-  std::vector<std::string> header = {
-      "tier", "algorithm", "n", "ranks", "layout", "reps",
-      "duration", "ci95", "PKG energy", "DRAM energy", "total",
-      "power", "residual"};
-  if (cg) {
-    header.insert(header.begin() + 2, "matrix");
-    if (precond) header.insert(header.begin() + 3, "precond");
-    header.push_back("iters");
-    header.push_back("nnz");
-    header.push_back("halo msgs");
-    header.push_back("halo bytes");
+  const OptionalColumns optional = optional_columns(records);
+  const bool cg_results = optional.has("matrix");
+  std::vector<std::string> header = {"tier", "algorithm"};
+  for (const Axis* axis : optional.axes) header.push_back(axis->name);
+  header.insert(header.end(),
+                {"n", "ranks", "layout", "reps", "duration", "ci95",
+                 "PKG energy", "DRAM energy", "total", "power", "residual"});
+  if (cg_results) {
+    header.insert(header.end(), {"iters", "nnz", "halo msgs", "halo bytes"});
   }
-  if (mixed) header.insert(header.begin() + 2, "precision");
   TextTable table(header);
   for (const JobRecord& record : records) {
     const JobAggregate agg = aggregate(record);
-    std::vector<std::string> row = {
-        to_string(record.spec.tier),
-        algorithm_token(record.spec.algorithm),
-        std::to_string(record.spec.n),
-        std::to_string(record.spec.ranks),
-        layout_token(record.spec.layout),
-        std::to_string(record.spec.repetitions),
-        format_duration(agg.duration.mean),
-        agg.duration.ci95_half > 0.0
-            ? format_duration(agg.duration.ci95_half)
-            : std::string("-"),
-        format_energy(agg.pkg_j.mean),
-        format_energy(agg.dram_j.mean),
-        format_energy(agg.total_j.mean),
-        format_power(agg.power_w),
-        format_fixed(agg.worst_residual * 1e15, 2) + "e-15"};
-    if (cg) {
-      row.insert(row.begin() + 2,
-                 is_cg(record) ? sparse::kind_token(record.spec.matrix)
-                               : "-");
-      if (precond) {
-        row.insert(row.begin() + 3,
-                   is_cg(record)
-                       ? solvers::precond_token(record.spec.precond)
-                       : "-");
-      }
-      row.push_back(is_cg(record) ? std::to_string(record_cg_iters(record))
-                                  : "-");
-      row.push_back(is_cg(record) ? std::to_string(record_nnz(record))
-                                  : "-");
-      row.push_back(is_cg(record) ? std::to_string(record_halo_msgs(record))
-                                  : "-");
-      row.push_back(is_cg(record) ? std::to_string(record_halo_bytes(record))
-                                  : "-");
+    std::vector<std::string> row = {to_string(record.spec.tier),
+                                    algorithm_token(record.spec.algorithm)};
+    for (const Axis* axis : optional.axes) {
+      row.push_back(axis->cell(record.spec));
     }
-    if (mixed) {
-      row.insert(row.begin() + 2, precision_token(record.spec.precision));
+    row.insert(row.end(),
+               {std::to_string(record.spec.n),
+                std::to_string(record.spec.ranks),
+                layout_token(record.spec.layout),
+                std::to_string(record.spec.repetitions),
+                format_duration(agg.duration.mean),
+                agg.duration.ci95_half > 0.0
+                    ? format_duration(agg.duration.ci95_half)
+                    : std::string("-"),
+                format_energy(agg.pkg_j.mean), format_energy(agg.dram_j.mean),
+                format_energy(agg.total_j.mean), format_power(agg.power_w),
+                format_fixed(agg.worst_residual * 1e15, 2) + "e-15"});
+    if (cg_results) {
+      const bool has = has_cg_results(record);
+      row.push_back(has ? std::to_string(record_cg_iters(record)) : "-");
+      row.push_back(has ? std::to_string(record_nnz(record)) : "-");
+      row.push_back(has ? std::to_string(record_halo_msgs(record)) : "-");
+      row.push_back(has ? std::to_string(record_halo_bytes(record)) : "-");
     }
     table.add_row(row);
   }

@@ -14,25 +14,12 @@ JobRecord run_numeric(const JobSpec& spec, const hw::MachineSpec& machine,
   PLIN_CHECK_MSG(spec.algorithm != perfsim::Algorithm::kJacobi,
                  "batch: the numeric tier runs ime | scalapack (jacobi is "
                  "replay-tier only)");
-  monitor::JobSpec mspec;
-  mspec.algorithm = spec.algorithm;
-  mspec.n = spec.n;
-  mspec.ranks = spec.ranks;
-  mspec.layout = spec.layout;
-  mspec.seed = spec.seed;
-  mspec.nb = spec.nb;
-  mspec.repetitions = spec.repetitions;
-  mspec.power_cap_w = spec.power_cap_w;
-  mspec.precision = spec.precision;
-  mspec.matrix = spec.matrix;
-  mspec.precond = spec.precond;
-
   monitor::MonitorOptions moptions;
   if (!trace_dir.empty()) {
     // One bundle per job, addressed by the same key the result store uses.
     moptions.trace_dir = trace_dir + "/" + spec.key();
   }
-  const monitor::JobResult result = monitor::run_job(machine, mspec, moptions);
+  const monitor::JobResult result = monitor::run_job(machine, spec, moptions);
 
   JobRecord record;
   record.spec = spec;
@@ -60,14 +47,7 @@ JobRecord run_replay(const JobSpec& spec, const hw::MachineSpec& machine) {
   const perfsim::Simulator simulator(machine);
   const hw::Placement placement =
       hw::make_placement(spec.ranks, spec.layout, machine);
-  perfsim::Workload workload;
-  workload.algorithm = spec.algorithm;
-  workload.n = spec.n;
-  workload.nb = spec.nb;
-  workload.iterations = spec.iterations;
-  workload.precision = spec.precision;
-  workload.matrix = spec.matrix;
-  workload.precond = spec.precond;
+  const perfsim::Workload workload = spec.workload();
   const perfsim::Prediction p = simulator.predict(workload, placement);
   const double host_s = wall.elapsed_s();
 

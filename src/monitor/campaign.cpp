@@ -32,20 +32,6 @@ SampleStats repetition_stats(const std::vector<RepetitionResult>& reps,
 
 }  // namespace
 
-std::string JobSpec::describe() const {
-  std::string out = std::string(perfsim::to_string(algorithm)) + " n=" +
-                    std::to_string(n) + " ranks=" + std::to_string(ranks) +
-                    " " + hw::to_string(layout);
-  if (precision == perfsim::Precision::kMixed) out += " mixed";
-  if (algorithm == perfsim::Algorithm::kCg) {
-    out += std::string(" ") + sparse::kind_token(matrix);
-    if (precond != solvers::CgPrecond::kNone) {
-      out += std::string(" ") + solvers::precond_token(precond);
-    }
-  }
-  return out;
-}
-
 SampleStats JobResult::duration_stats() const {
   return repetition_stats(
       repetitions, [](const RepetitionResult& r) {
@@ -92,9 +78,7 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
                   const MonitorOptions& options) {
   PLIN_CHECK_MSG(spec.n > 0, "campaign: job needs a matrix size");
   PLIN_CHECK_MSG(spec.repetitions > 0, "campaign: need >= 1 repetition");
-  PLIN_CHECK_MSG(spec.precision == perfsim::Precision::kFp64 ||
-                     spec.algorithm == perfsim::Algorithm::kScalapack,
-                 "campaign: mixed precision is a GEPP (scalapack) variant");
+  validate(spec);
 
   xmpi::RunConfig config;
   config.machine = machine;
@@ -103,10 +87,10 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
   // Reference data for the residual check (numeric-tier sizes only): the
   // dense generated system for the dense solvers. CG streams its sparse
   // family through generated_residual instead of materializing it.
-  const bool is_cg = spec.algorithm == perfsim::Algorithm::kCg;
+  const bool cg = spec.algorithm == perfsim::Algorithm::kCg;
   const linalg::Matrix a =
-      is_cg ? linalg::Matrix(1, 1)
-            : linalg::generate_system_matrix(spec.seed, spec.n);
+      cg ? linalg::Matrix(1, 1)
+         : linalg::generate_system_matrix(spec.seed, spec.n);
   const std::vector<double> b = linalg::generate_rhs(spec.seed, spec.n);
 
   JobResult result;
@@ -136,7 +120,7 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
               }
               comm.barrier();
             }
-            if (spec.algorithm == perfsim::Algorithm::kCg) {
+            if (cg) {
               solvers::CgOptions opt;
               opt.kind = spec.matrix;
               opt.n = spec.n;
@@ -176,9 +160,9 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
           });
       if (world.rank() == 0) {
         rr.measurement = measurement;
-        rr.residual = is_cg ? sparse::generated_residual(
-                                  spec.matrix, spec.seed, spec.n, x, b)
-                            : linalg::scaled_residual(a.view(), x, b);
+        rr.residual = cg ? sparse::generated_residual(spec.matrix, spec.seed,
+                                                      spec.n, x, b)
+                         : linalg::scaled_residual(a.view(), x, b);
       }
     });
     rr.halo_messages = run.traffic.halo_messages;
@@ -195,85 +179,43 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
   return result;
 }
 
-namespace {
-
-/// Pure-fp64 campaigns print exactly the historical columns (the golden
-/// outputs pin those bytes); the precision column appears only once a
-/// mixed job is in the report.
-bool any_mixed(std::span<const JobResult> jobs) {
-  for (const JobResult& job : jobs) {
-    if (job.spec.precision != perfsim::Precision::kFp64) return true;
-  }
-  return false;
-}
-
-/// Same byte-stability contract for the sparse columns: matrix / iters /
-/// nnz appear only once a CG job is in the report.
-bool any_cg(std::span<const JobResult> jobs) {
-  for (const JobResult& job : jobs) {
-    if (job.spec.algorithm == perfsim::Algorithm::kCg) return true;
-  }
-  return false;
-}
-
-/// The precond column appears only once a preconditioned job is present —
-/// plain-CG campaigns keep printing their historical bytes.
-bool any_precond(std::span<const JobResult> jobs) {
-  for (const JobResult& job : jobs) {
-    if (job.spec.precond != solvers::CgPrecond::kNone) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 void print_campaign_table(std::ostream& os, std::span<const JobResult> jobs) {
-  const bool mixed = any_mixed(jobs);
-  const bool cg = any_cg(jobs);
-  const bool precond = any_precond(jobs);
-  std::vector<std::string> header = {"algorithm", "n", "ranks", "layout",
-                                     "reps", "duration", "PKG energy",
-                                     "DRAM energy", "total", "power",
-                                     "residual"};
-  if (cg) {
-    header.insert(header.begin() + 1, "matrix");
-    if (precond) header.insert(header.begin() + 2, "precond");
-    header.push_back("iters");
-    header.push_back("nnz");
-    header.push_back("halo msgs");
-    header.push_back("halo bytes");
+  // Pure-fp64 dense campaigns print exactly the historical columns (the
+  // golden outputs pin those bytes): the optional spec columns follow the
+  // algorithm, and the cg result columns ride on the matrix column.
+  const OptionalColumns optional = optional_columns(jobs);
+  const bool cg_results = optional.has("matrix");
+  const Axis& matrix = *find_axis("matrix");
+  std::vector<std::string> header = {"algorithm"};
+  for (const Axis* axis : optional.axes) header.push_back(axis->name);
+  header.insert(header.end(),
+                {"n", "ranks", "layout", "reps", "duration", "PKG energy",
+                 "DRAM energy", "total", "power", "residual"});
+  if (cg_results) {
+    header.insert(header.end(), {"iters", "nnz", "halo msgs", "halo bytes"});
   }
-  if (mixed) header.insert(header.begin() + 1, "precision");
   TextTable table(header);
   for (const JobResult& job : jobs) {
-    const bool job_cg = job.spec.algorithm == perfsim::Algorithm::kCg;
     std::vector<std::string> row = {
-        std::string(perfsim::to_string(job.spec.algorithm)),
-        std::to_string(job.spec.n),
-        std::to_string(job.spec.ranks),
-        hw::to_string(job.spec.layout),
-        std::to_string(job.spec.repetitions),
-        format_duration(job.mean_duration_s()),
-        format_energy(job.mean_pkg_j()),
-        format_energy(job.mean_dram_j()),
-        format_energy(job.mean_total_j()),
-        format_power(job.mean_power_w()),
-        format_fixed(job.worst_residual() * 1e15, 2) + "e-15"};
-    if (cg) {
-      row.insert(row.begin() + 1,
-                 job_cg ? sparse::kind_token(job.spec.matrix) : "-");
-      if (precond) {
-        row.insert(row.begin() + 2,
-                   job_cg ? solvers::precond_token(job.spec.precond) : "-");
-      }
+        std::string(perfsim::to_string(job.spec.algorithm))};
+    for (const Axis* axis : optional.axes) row.push_back(axis->cell(job.spec));
+    row.insert(row.end(),
+               {std::to_string(job.spec.n), std::to_string(job.spec.ranks),
+                hw::to_string(job.spec.layout),
+                std::to_string(job.spec.repetitions),
+                format_duration(job.mean_duration_s()),
+                format_energy(job.mean_pkg_j()),
+                format_energy(job.mean_dram_j()),
+                format_energy(job.mean_total_j()),
+                format_power(job.mean_power_w()),
+                format_fixed(job.worst_residual() * 1e15, 2) + "e-15"});
+    if (cg_results) {
       const RepetitionResult& first = job.repetitions.front();
-      row.push_back(job_cg ? std::to_string(first.cg_iters) : "-");
-      row.push_back(job_cg ? std::to_string(first.nnz) : "-");
-      row.push_back(job_cg ? std::to_string(first.halo_messages) : "-");
-      row.push_back(job_cg ? std::to_string(first.halo_bytes) : "-");
-    }
-    if (mixed) {
-      row.insert(row.begin() + 1, perfsim::to_string(job.spec.precision));
+      const bool has = matrix.applies_to(job.spec.algorithm);
+      row.push_back(has ? std::to_string(first.cg_iters) : "-");
+      row.push_back(has ? std::to_string(first.nnz) : "-");
+      row.push_back(has ? std::to_string(first.halo_messages) : "-");
+      row.push_back(has ? std::to_string(first.halo_bytes) : "-");
     }
     table.add_row(row);
   }
@@ -281,63 +223,50 @@ void print_campaign_table(std::ostream& os, std::span<const JobResult> jobs) {
 }
 
 void write_campaign_csv(std::ostream& os, std::span<const JobResult> jobs) {
-  const bool mixed = any_mixed(jobs);
-  const bool cg = any_cg(jobs);
-  const bool precond = any_precond(jobs);
+  // Same column rules as the table; the mixed refinement columns ride on
+  // the precision column.
+  const OptionalColumns optional = optional_columns(jobs);
+  const bool cg_results = optional.has("matrix");
+  const bool mixed_results = optional.has("precision");
+  const Axis& matrix = *find_axis("matrix");
   CsvWriter csv(os);
-  std::vector<std::string> header = {"algorithm", "n", "ranks", "layout",
-                                     "repetition", "duration_s", "pkg0_j",
-                                     "pkg1_j", "dram0_j", "dram1_j",
-                                     "total_j", "power_w", "residual",
-                                     "host_s"};
-  if (cg) {
-    header.insert(header.begin() + 1, "matrix");
-    if (precond) header.insert(header.begin() + 2, "precond");
-    header.push_back("cg_iters");
-    header.push_back("nnz");
-    header.push_back("halo_msgs");
-    header.push_back("halo_bytes");
+  std::vector<std::string> header = {"algorithm"};
+  for (const Axis* axis : optional.axes) header.push_back(axis->name);
+  header.insert(header.end(),
+                {"n", "ranks", "layout", "repetition", "duration_s", "pkg0_j",
+                 "pkg1_j", "dram0_j", "dram1_j", "total_j", "power_w",
+                 "residual", "host_s"});
+  if (cg_results) {
+    header.insert(header.end(), {"cg_iters", "nnz", "halo_msgs", "halo_bytes"});
   }
-  if (mixed) {
-    header.insert(header.begin() + 1, "precision");
-    header.push_back("refine_iters");
-    header.push_back("fell_back");
-  }
+  if (mixed_results) header.insert(header.end(), {"refine_iters", "fell_back"});
   csv.write_row(header);
   for (const JobResult& job : jobs) {
-    const bool job_cg = job.spec.algorithm == perfsim::Algorithm::kCg;
     for (std::size_t i = 0; i < job.repetitions.size(); ++i) {
       const RepetitionResult& rep = job.repetitions[i];
       const RunMeasurement& m = rep.measurement;
       std::vector<std::string> row = {
-          std::string(perfsim::to_string(job.spec.algorithm)),
-          std::to_string(job.spec.n),
-          std::to_string(job.spec.ranks),
-          hw::to_string(job.spec.layout),
-          std::to_string(i),
-          format_fixed(m.duration_s, 9),
-          format_fixed(m.pkg_j[0], 6),
-          format_fixed(m.pkg_j[1], 6),
-          format_fixed(m.dram_j[0], 6),
-          format_fixed(m.dram_j[1], 6),
-          format_fixed(m.total_j(), 6),
-          format_fixed(m.avg_power_w(), 3),
-          format_fixed(rep.residual, 18),
-          format_fixed(rep.host_seconds, 4)};
-      if (cg) {
-        row.insert(row.begin() + 1,
-                   job_cg ? sparse::kind_token(job.spec.matrix) : "-");
-        if (precond) {
-          row.insert(row.begin() + 2,
-                     job_cg ? solvers::precond_token(job.spec.precond) : "-");
-        }
-        row.push_back(job_cg ? std::to_string(rep.cg_iters) : "0");
-        row.push_back(job_cg ? std::to_string(rep.nnz) : "0");
+          std::string(perfsim::to_string(job.spec.algorithm))};
+      for (const Axis* axis : optional.axes) {
+        row.push_back(axis->cell(job.spec));
+      }
+      row.insert(row.end(),
+                 {std::to_string(job.spec.n), std::to_string(job.spec.ranks),
+                  hw::to_string(job.spec.layout), std::to_string(i),
+                  format_fixed(m.duration_s, 9), format_fixed(m.pkg_j[0], 6),
+                  format_fixed(m.pkg_j[1], 6), format_fixed(m.dram_j[0], 6),
+                  format_fixed(m.dram_j[1], 6), format_fixed(m.total_j(), 6),
+                  format_fixed(m.avg_power_w(), 3),
+                  format_fixed(rep.residual, 18),
+                  format_fixed(rep.host_seconds, 4)});
+      if (cg_results) {
+        const bool has = matrix.applies_to(job.spec.algorithm);
+        row.push_back(has ? std::to_string(rep.cg_iters) : "0");
+        row.push_back(has ? std::to_string(rep.nnz) : "0");
         row.push_back(std::to_string(rep.halo_messages));
         row.push_back(std::to_string(rep.halo_bytes));
       }
-      if (mixed) {
-        row.insert(row.begin() + 1, perfsim::to_string(job.spec.precision));
+      if (mixed_results) {
         row.push_back(std::to_string(rep.refine_iters));
         row.push_back(rep.fell_back ? "1" : "0");
       }

@@ -14,40 +14,11 @@
 #include <vector>
 
 #include "hwmodel/machine.hpp"
-#include "hwmodel/placement.hpp"
+#include "monitor/spec.hpp"
 #include "monitor/white_box.hpp"
-#include "perfsim/prediction.hpp"
-#include "solvers/cg/precond.hpp"
-#include "solvers/efficiency.hpp"
-#include "sparse/generate.hpp"
 #include "support/stats.hpp"
 
 namespace plin::monitor {
-
-struct JobSpec {
-  perfsim::Algorithm algorithm = perfsim::Algorithm::kScalapack;
-  std::size_t n = 0;
-  int ranks = 1;
-  hw::LoadLayout layout = hw::LoadLayout::kFullLoad;
-  std::uint64_t seed = 1;
-  std::size_t nb = solvers::kDefaultBlock;  // ScaLAPACK block size
-  int repetitions = 3;  // the paper uses 10 on the real machine
-  /// Per-package RAPL power cap programmed before the solve (0 = uncapped)
-  /// — the paper's §6 "application of power caps" extension, reachable
-  /// from batch campaign manifests.
-  double power_cap_w = 0.0;
-  /// kMixed runs the fp32-factorize + fp64-refine GEPP variant instead of
-  /// full fp64 (scalapack only; IMe and Jacobi have no mixed path).
-  perfsim::Precision precision = perfsim::Precision::kFp64;
-  /// CG only: the sparse family the job solves (ignored by the dense
-  /// solvers) and the relative-residual convergence target.
-  sparse::SparseKind matrix = sparse::SparseKind::kStencil5;
-  double tolerance = 1e-11;
-  /// CG only: the preconditioner axis (none | jacobi).
-  solvers::CgPrecond precond = solvers::CgPrecond::kNone;
-
-  std::string describe() const;
-};
 
 struct RepetitionResult {
   RunMeasurement measurement;
@@ -82,7 +53,8 @@ struct JobResult {
 };
 
 /// Runs one job on the numeric tier (xmpi execution under the white-box
-/// monitor). Throws on solver failure.
+/// monitor) on `machine`; spec.tier and spec.machine are not read. Throws
+/// on an invalid spec or a solver failure.
 JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
                   const MonitorOptions& options = {});
 

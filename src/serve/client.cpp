@@ -83,7 +83,7 @@ json::Value Client::submit(const batch::JobSpec& spec,
   body.set("tenant", tenant);
   if (wait) body.set("wait", true);
   if (!tag.empty()) body.set("tag", tag);
-  body.set("spec", spec_to_json(spec));
+  body.set("spec", batch::spec_to_json(spec));
   return request(body);
 }
 

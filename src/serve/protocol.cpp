@@ -31,60 +31,6 @@ Op parse_op(const std::string& token) {
 
 }  // namespace
 
-batch::JobSpec spec_from_json(const json::Value& value) {
-  batch::JobSpec spec;
-  for (const auto& [field, v] : value.as_object()) {
-    if (field == "tier") {
-      spec.tier = batch::parse_tier(v.as_string());
-    } else if (field == "machine") {
-      spec.machine = v.as_string();
-    } else if (field == "algorithm") {
-      spec.algorithm = batch::parse_algorithm_token(v.as_string());
-    } else if (field == "n") {
-      spec.n = static_cast<std::size_t>(v.as_number());
-    } else if (field == "ranks") {
-      spec.ranks = static_cast<int>(v.as_number());
-    } else if (field == "layout") {
-      spec.layout = batch::parse_layout_token(v.as_string());
-    } else if (field == "nb") {
-      spec.nb = static_cast<std::size_t>(v.as_number());
-    } else if (field == "seed") {
-      spec.seed = static_cast<std::uint64_t>(v.as_number());
-    } else if (field == "reps") {
-      spec.repetitions = static_cast<int>(v.as_number());
-    } else if (field == "iterations") {
-      spec.iterations = static_cast<int>(v.as_number());
-    } else if (field == "power_cap_w") {
-      spec.power_cap_w = v.as_number();
-    } else if (field == "precision") {
-      spec.precision = batch::parse_precision_token(v.as_string());
-    } else {
-      throw InvalidArgument("serve: unknown spec field '" + field + "'");
-    }
-  }
-  PLIN_CHECK_MSG(spec.n > 0, "serve: spec needs n > 0");
-  PLIN_CHECK_MSG(spec.ranks > 0, "serve: spec needs ranks > 0");
-  PLIN_CHECK_MSG(spec.repetitions > 0, "serve: spec needs reps > 0");
-  return spec;
-}
-
-json::Value spec_to_json(const batch::JobSpec& spec) {
-  json::Value out = json::make_object();
-  out.set("tier", batch::to_string(spec.tier));
-  out.set("machine", spec.machine);
-  out.set("algorithm", batch::algorithm_token(spec.algorithm));
-  out.set("n", static_cast<double>(spec.n));
-  out.set("ranks", spec.ranks);
-  out.set("layout", batch::layout_token(spec.layout));
-  out.set("nb", static_cast<double>(spec.nb));
-  out.set("seed", static_cast<double>(spec.seed));
-  out.set("reps", spec.repetitions);
-  out.set("iterations", spec.iterations);
-  out.set("power_cap_w", spec.power_cap_w);
-  out.set("precision", batch::precision_token(spec.precision));
-  return out;
-}
-
 Request parse_request(const std::string& line) {
   const json::Value root = json::parse(line);
   Request request;
@@ -102,7 +48,7 @@ Request parse_request(const std::string& line) {
       if (const json::Value* wait = root.find("wait")) {
         request.wait = wait->as_bool();
       }
-      request.spec = spec_from_json(root.at("spec"));
+      request.spec = batch::spec_from_json(root.at("spec"));
       break;
     }
     case Op::kWait: {

@@ -13,9 +13,10 @@
 //   {"op":"stats"}
 //   {"op":"drain"}
 // Every request may carry a free-form "tag" string which the matching
-// response echoes (client-side correlation). The "spec" object uses the
-// same field names as the result store's record format (batch/record.cpp);
-// absent fields take the JobSpec defaults.
+// response echoes (client-side correlation). The "spec" object is the
+// result store's spec format (batch::spec_from_json): absent fields take
+// the JobSpec defaults, and unknown fields or out-of-range values are
+// rejected.
 //
 // Responses always carry "ok" (bool) and echo "op" (+"tag"); submit/wait
 // add "key", "status" and, for completed jobs, the stored record.
@@ -41,16 +42,6 @@ struct Request {
   batch::JobSpec spec;             // submit only
   std::string key;                 // wait only
 };
-
-/// Parses a spec object using record-format field names; absent fields keep
-/// the JobSpec defaults. Throws InvalidArgument on unknown fields or bad
-/// token values, so client typos fail loudly instead of silently running
-/// the default grid point.
-batch::JobSpec spec_from_json(const json::Value& value);
-
-/// Serializes a spec with the record-format field names (every field,
-/// including defaults — the echo is for humans debugging, not for hashing).
-json::Value spec_to_json(const batch::JobSpec& spec);
 
 /// Parses one request line; throws InvalidArgument with a precise message
 /// on malformed JSON, unknown ops, or bad specs.

@@ -316,6 +316,18 @@ Value make_object() { return Value(Object{}); }
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
+double checked_integer(const Value& value, double min, double limit) {
+  const double v = value.as_number();
+  if (!(v >= min && v < limit) || std::floor(v) != v) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "expected an integer in [%.17g, %.17g), got %.17g", min,
+                  limit, v);
+    throw InvalidArgument(buf);
+  }
+  return v;
+}
+
 std::string format_number(double value) {
   PLIN_CHECK_MSG(std::isfinite(value), "json: non-finite number");
   // 2^53: largest range where every integer is exactly representable.

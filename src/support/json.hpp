@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -63,6 +64,22 @@ class Value {
   Array array_;
   Object object_;
 };
+
+/// as_integer's check: `value` is an integral number in [min, limit);
+/// throws InvalidArgument otherwise.
+double checked_integer(const Value& value, double min, double limit);
+
+/// Reads `value` as an integer of type T no smaller than `min`. Outside
+/// input gets this instead of a cast: a fraction, a negative count or a
+/// value T cannot hold is an InvalidArgument, not undefined behaviour.
+template <typename T>
+T as_integer(const Value& value, T min = 0) {
+  // max() + 1 is a power of two, so exact in a double; every integral
+  // double below it fits T.
+  return static_cast<T>(checked_integer(
+      value, static_cast<double>(min),
+      static_cast<double>(std::numeric_limits<T>::max()) + 1.0));
+}
 
 /// Makes an empty object (clearer than Value(Object{}) at call sites).
 Value make_object();

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -44,17 +45,18 @@ std::string read_file(const std::string& path) {
 }
 
 /// A 4-job numeric campaign small enough for unit tests.
+const char* const kTinyManifest = R"(
+campaign tiny
+tier     numeric
+machine  mini:8x4
+reps     2
+grid n     96 128
+grid ranks 4
+)";
+
 CampaignManifest tiny_manifest() {
-  CampaignManifest manifest;
-  manifest.name = "tiny";
-  manifest.tier = Tier::kNumeric;
-  manifest.machine = "mini:8x4";
-  manifest.algorithms = {perfsim::Algorithm::kIme,
-                         perfsim::Algorithm::kScalapack};
-  manifest.sizes = {96, 128};
-  manifest.rank_counts = {4};
-  manifest.repetitions = 2;
-  return manifest;
+  return parse_manifest(std::string(kTinyManifest) +
+                        "grid algorithm ime scalapack\n");
 }
 
 // --- manifest parsing -------------------------------------------------------
@@ -76,9 +78,9 @@ grid nb        64
 grid seed      1 2
 )");
   EXPECT_EQ(m.name, "demo");
-  EXPECT_EQ(m.tier, Tier::kReplay);
-  EXPECT_EQ(m.machine, "marconi");
-  EXPECT_EQ(m.repetitions, 3);
+  EXPECT_EQ(m.values("tier").front().tier, Tier::kReplay);
+  EXPECT_EQ(m.values("machine").front().machine, "marconi");
+  EXPECT_EQ(m.values("reps").front().repetitions, 3);
   EXPECT_EQ(m.workers, 4);
   EXPECT_EQ(m.retries, 1);
   EXPECT_DOUBLE_EQ(m.timeout_s, 600.0);
@@ -186,6 +188,29 @@ grid precond   none jacobi
   EXPECT_THROW(parse_manifest("grid precond ilu\n"), InvalidArgument);
 }
 
+TEST(ManifestTest, ExpansionKeysArePinned) {
+  // The CI smoke grid (manifests/ci_smoke.plc): every skip rule and both
+  // append-only key suffixes, in expansion order.
+  const CampaignManifest m = parse_manifest(R"(
+machine   mini:16x4
+reps      2
+grid algorithm ime scalapack cg
+grid n         256 384
+grid ranks     8 4
+grid layout    full half2
+grid nb        32
+grid seed      1
+grid precision fp64 mixed
+grid matrix    stencil5 banded
+grid precond   none jacobi
+)");
+  std::string keys;
+  for (const JobSpec& spec : m.expand()) keys += spec.key();
+  EXPECT_EQ(m.job_count(), 56u);
+  EXPECT_EQ(keys.size(), 56u * 16u);
+  EXPECT_EQ(fnv1a64(keys), 0xc6de70995611053eull);
+}
+
 // --- spec keys --------------------------------------------------------------
 
 TEST(SpecTest, KeyIsStableAcrossProcesses) {
@@ -280,12 +305,131 @@ TEST(SpecTest, DefaultPrecondKeepsPreExistingStoreKeys) {
   EXPECT_EQ(dense.canonical().find("precond"), std::string::npos);
 }
 
+TEST(SpecTest, EveryAxisRoundTripsTokenJsonAndGridLine) {
+  // One non-default token per axis: a new axis adds its sample here.
+  const std::map<std::string, std::string> samples = {
+      {"tier", "replay"},      {"machine", "mini:8x4"},
+      {"algorithm", "cg"},     {"n", "96"},
+      {"ranks", "8"},          {"layout", "half2"},
+      {"nb", "16"},            {"seed", "7"},
+      {"reps", "3"},           {"iterations", "50"},
+      {"power_cap_w", "37.5"}, {"precision", "mixed"},
+      {"matrix", "banded"},    {"precond", "jacobi"},
+      {"tolerance", "1e-08"}};
+  ASSERT_EQ(samples.size(), axes().size());
+  for (const Axis& axis : axes()) {
+    SCOPED_TRACE(axis.name);
+    const auto sample = samples.find(axis.name);
+    ASSERT_NE(sample, samples.end());
+    // A job whose algorithm accepts a non-default value of this axis.
+    JobSpec base;
+    for (const perfsim::Algorithm a :
+         {perfsim::Algorithm::kIme, perfsim::Algorithm::kScalapack,
+          perfsim::Algorithm::kCg}) {
+      if ((axis.varies & monitor::only(a)) != 0) {
+        base.algorithm = a;
+        break;
+      }
+    }
+    JobSpec spec = base;
+    axis.codec.parse(spec, sample->second);
+    EXPECT_FALSE(axis.codec.same(spec, base));
+    EXPECT_NE(spec.key(), base.key());
+
+    JobSpec reparsed = base;
+    axis.codec.parse(reparsed, axis.codec.print(spec));
+    EXPECT_TRUE(axis.codec.same(reparsed, spec));
+
+    const JobSpec decoded = spec_from_json(spec_to_json(spec));
+    EXPECT_TRUE(axis.codec.same(decoded, spec));
+    EXPECT_EQ(decoded.key(), spec.key());
+
+    const CampaignManifest m = parse_manifest(
+        std::string("grid algorithm ") + algorithm_token(base.algorithm) +
+        "\ngrid " + axis.name + " " + axis.codec.print(base) + " " +
+        sample->second + "\n");
+    const std::vector<JobSpec> jobs = m.expand();
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(m.job_count(), 2u);
+    EXPECT_EQ(jobs[0].key(), base.key());
+    EXPECT_EQ(jobs[1].key(), spec.key());
+  }
+}
+
 TEST(SpecTest, MachineNamesResolve) {
   EXPECT_GT(machine_from_name("marconi").total_nodes, 0);
   EXPECT_GT(machine_from_name("epyc").total_nodes, 0);
   EXPECT_EQ(machine_from_name("mini:8x4").total_nodes, 8);
   EXPECT_THROW(machine_from_name("mini:0x4"), InvalidArgument);
   EXPECT_THROW(machine_from_name("cray"), InvalidArgument);
+}
+
+/// One spec per axis rule the key has to honour: the dense default, a mixed
+/// scalapack job, a power cap, replay jacobi with its sweep count, and the
+/// cg matrix/precond suffixes.
+std::vector<JobSpec> pinned_specs() {
+  std::vector<JobSpec> specs(7);
+  specs[1].algorithm = perfsim::Algorithm::kScalapack;
+  specs[1].precision = perfsim::Precision::kMixed;
+  specs[1].n = 1024;
+  specs[1].ranks = 16;
+  specs[2].machine = "mini:8x4";
+  specs[2].power_cap_w = 37.5;
+  specs[3].tier = Tier::kReplay;
+  specs[3].machine = "marconi";
+  specs[3].algorithm = perfsim::Algorithm::kJacobi;
+  specs[3].n = 8640;
+  specs[3].ranks = 144;
+  specs[3].iterations = 50;
+  specs[4].algorithm = perfsim::Algorithm::kCg;
+  specs[4].n = 4096;
+  specs[5].algorithm = perfsim::Algorithm::kCg;
+  specs[5].n = 4096;
+  specs[5].ranks = 8;
+  specs[5].matrix = sparse::SparseKind::kBanded;
+  specs[5].precond = solvers::CgPrecond::kJacobi;
+  specs[6].algorithm = perfsim::Algorithm::kCg;
+  specs[6].matrix = sparse::SparseKind::kBlockDiag;
+  specs[6].seed = 9;
+  return specs;
+}
+
+TEST(SpecTest, CanonicalStringsAndKeysArePinned) {
+  // Journaled records are found by these keys: any change here orphans
+  // every existing store.
+  const std::vector<JobSpec> specs = pinned_specs();
+  const std::pair<const char*, const char*> expected[] = {
+      {"plin-batch-v1|tier=numeric|machine=mini:16x4|algorithm=ime|n=256|"
+       "ranks=4|layout=full|nb=32|seed=1|reps=1|iterations=100|cap_w=0",
+       "1f088c41f54099d8"},
+      {"plin-batch-v1|tier=numeric|machine=mini:16x4|algorithm=scalapack|"
+       "n=1024|ranks=16|layout=full|nb=32|seed=1|reps=1|iterations=100|"
+       "cap_w=0|precision=mixed",
+       "7c10539582bca591"},
+      {"plin-batch-v1|tier=numeric|machine=mini:8x4|algorithm=ime|n=256|"
+       "ranks=4|layout=full|nb=32|seed=1|reps=1|iterations=100|cap_w=37.5",
+       "48b86bfcead81018"},
+      {"plin-batch-v1|tier=replay|machine=marconi|algorithm=jacobi|n=8640|"
+       "ranks=144|layout=full|nb=32|seed=1|reps=1|iterations=50|cap_w=0",
+       "fab238030fb8dac4"},
+      {"plin-batch-v1|tier=numeric|machine=mini:16x4|algorithm=cg|n=4096|"
+       "ranks=4|layout=full|nb=32|seed=1|reps=1|iterations=100|cap_w=0|"
+       "matrix=stencil5",
+       "d883a4b24117be42"},
+      {"plin-batch-v1|tier=numeric|machine=mini:16x4|algorithm=cg|n=4096|"
+       "ranks=8|layout=full|nb=32|seed=1|reps=1|iterations=100|cap_w=0|"
+       "matrix=banded|precond=jacobi",
+       "c1c5e9273475932f"},
+      {"plin-batch-v1|tier=numeric|machine=mini:16x4|algorithm=cg|n=256|"
+       "ranks=4|layout=full|nb=32|seed=9|reps=1|iterations=100|cap_w=0|"
+       "matrix=blockdiag",
+       "34a2db318a2127e7"},
+  };
+  ASSERT_EQ(specs.size(), std::size(expected));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(specs[i].canonical(), expected[i].first) << "spec " << i;
+    EXPECT_EQ(specs[i].key(), expected[i].second) << "spec " << i;
+  }
 }
 
 // --- record serialization ---------------------------------------------------
@@ -363,10 +507,90 @@ TEST(RecordTest, CgPrecondAndHaloTrafficRoundTripThroughJson) {
   EXPECT_EQ(dense.find("\"halo_bytes\""), std::string::npos);
 }
 
+TEST(RecordTest, RejectsOutOfRangeNumbersAndStoreSkipsThem) {
+  // Journal numbers are range-checked like served specs: a negative,
+  // fractional or zero-where-positive value is an InvalidArgument, and the
+  // store skips such a line as stale instead of casting it.
+  const std::string good = json::serialize(to_json(sample_record()));
+  const std::pair<const char*, const char*> edits[] = {
+      {"\"n\":96", "\"n\":-5"},
+      {"\"n\":96", "\"n\":2.5"},
+      {"\"nb\":32", "\"nb\":0"},
+      {"\"ranks\":4", "\"ranks\":1e12"}};
+  const std::string dir = scratch_dir("record_range");
+  {
+    std::filesystem::create_directories(dir);
+    std::ofstream journal(fs::path(dir) / "journal.jsonl");
+    for (const auto& [from, to] : edits) {
+      std::string line = good;
+      ASSERT_NE(line.find(from), std::string::npos) << from;
+      line.replace(line.find(from), std::string(from).size(), to);
+      EXPECT_THROW(record_from_json(json::parse(line)), InvalidArgument)
+          << to;
+      journal << line << "\n";
+    }
+  }
+  const ResultStore store(dir);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.skipped_stale(), std::size(edits));
+}
+
 TEST(RecordTest, RejectsKeyMismatch) {
   json::Value value = to_json(sample_record());
   value.set("key", json::Value("0000000000000000"));
   EXPECT_THROW(record_from_json(value), Error);
+}
+
+/// Repetition with distinct energies per field; cg counters when cg_iters>0.
+RepetitionRecord pinned_rep(double duration_s, int cg_iters, std::size_t nnz) {
+  RepetitionRecord rep;
+  rep.duration_s = duration_s;
+  rep.pkg_j[0] = 1.5 * duration_s * 1000;
+  rep.pkg_j[1] = 1.25 * duration_s * 1000;
+  rep.dram_j[0] = 0.125;
+  rep.dram_j[1] = 0.0625;
+  rep.residual = 3.0e-17 * (1 + cg_iters);
+  rep.host_s = 0.25;
+  rep.cg_iters = cg_iters;
+  rep.nnz = nnz;
+  if (cg_iters > 0) {
+    rep.halo_messages = 168;
+    rep.halo_bytes = 56448;
+  }
+  return rep;
+}
+
+/// Dense fp64, mixed scalapack, cg stencil5 and cg banded+jacobi records.
+std::vector<JobRecord> pinned_records() {
+  const std::vector<JobSpec> specs = pinned_specs();
+  std::vector<JobRecord> records(4);
+  records[0].spec = specs[0];
+  records[0].repetitions = {pinned_rep(0.00123, 0, 0),
+                            pinned_rep(0.00125, 0, 0)};
+  records[1].spec = specs[1];
+  records[1].repetitions = {pinned_rep(0.0421, 0, 0)};
+  records[2].spec = specs[4];
+  records[2].repetitions = {pinned_rep(0.0005, 61, 20224),
+                            pinned_rep(0.0005, 61, 20224)};
+  records[3].spec = specs[5];
+  records[3].repetitions = {pinned_rep(0.0004, 42, 69184)};
+  return records;
+}
+
+TEST(RecordTest, JournalLineIsPinned) {
+  const std::string line =
+      R"({"key":"c1c5e9273475932f","spec":{"tier":"numeric",)"
+      R"("machine":"mini:16x4","algorithm":"cg","n":4096,"ranks":8,)"
+      R"("layout":"full","nb":32,"seed":1,"reps":1,"iterations":100,)"
+      R"("power_cap_w":0,"matrix":"banded","precond":"jacobi"},)"
+      R"("reps":[{"duration_s":0.00040000000000000002,)"
+      R"("pkg0_j":0.60000000000000009,"pkg1_j":0.5,"dram0_j":0.125,)"
+      R"("dram1_j":0.0625,"residual":1.2900000000000001e-15,"host_s":0.25,)"
+      R"("cg_iters":42,"nnz":69184,"halo_msgs":168,"halo_bytes":56448}]})";
+  const JobRecord record = pinned_records()[3];
+  EXPECT_EQ(json::serialize(to_json(record)), line);
+  EXPECT_EQ(json::serialize(to_json(record_from_json(json::parse(line)))),
+            line);
 }
 
 // --- result store -----------------------------------------------------------
@@ -715,6 +939,62 @@ TEST(RunnerTest, PowerCapStretchesDurationAndClampsPower) {
   EXPECT_LT(c.total_j() / c.duration_s, u.total_j() / u.duration_s);
 }
 
+// --- reports ----------------------------------------------------------------
+
+TEST(ReportTest, WriterBytesArePinned) {
+  // Every conditional column at once: precision (mixed), matrix (cg) and
+  // precond (cg+jacobi), with the cg result columns after the statistics.
+  const std::vector<JobRecord> records = pinned_records();
+  std::ostringstream csv;
+  write_report_csv(csv, records);
+  EXPECT_EQ(csv.str(), R"pin(tier,machine,algorithm,precision,matrix,precond,n,ranks,layout,nb,seed,power_cap_w,reps,duration_mean_s,duration_stddev_s,duration_ci95_s,duration_min_s,duration_max_s,total_mean_j,total_stddev_j,total_ci95_j,pkg_mean_j,dram_mean_j,power_mean_w,residual_worst,cg_iters,nnz,halo_msgs,halo_bytes
+numeric,mini:16x4,ime,fp64,-,-,256,4,full,32,1,0.0,1,0.001240000,0.000014142,0.000019600,0.001230000,0.001250000,3.597500,0.038891,0.053900,3.410000,0.187500,2901.210,0.000000000000000030,0,0,0,0
+numeric,mini:16x4,scalapack,mixed,-,-,1024,16,full,32,1,0.0,1,0.042100000,0.000000000,0.000000000,0.042100000,0.042100000,115.962500,0.000000,0.000000,115.775000,0.187500,2754.454,0.000000000000000030,0,0,0,0
+numeric,mini:16x4,cg,fp64,stencil5,none,4096,4,full,32,1,0.0,1,0.000500000,0.000000000,0.000000000,0.000500000,0.000500000,1.562500,0.000000,0.000000,1.375000,0.187500,3125.000,0.000000000000001860,61,20224,168,56448
+numeric,mini:16x4,cg,fp64,banded,jacobi,4096,8,full,32,1,0.0,1,0.000400000,0.000000000,0.000000000,0.000400000,0.000400000,1.287500,0.000000,0.000000,1.100000,0.187500,3218.750,0.000000000000001290,42,69184,168,56448
+)pin");
+  std::ostringstream md;
+  write_report_markdown(md, records);
+  EXPECT_EQ(md.str(), R"pin(| tier | algorithm | precision | matrix | precond | n | ranks | layout | reps | duration | energy | power | worst residual | iters | nnz | halo msgs | halo bytes |
+|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|
+| numeric | ime | fp64 | - | - | 256 | 4 | full | 1 | 1.24 ms ± 19.6 us | 3.60 J ± 53.9 mJ | 2.90 kW | 0.03e-15 | - | - | - | - |
+| numeric | scalapack | mixed | - | - | 1024 | 16 | full | 1 | 42.1 ms | 116 J | 2.75 kW | 0.03e-15 | - | - | - | - |
+| numeric | cg | fp64 | stencil5 | none | 4096 | 4 | full | 1 | 500 us | 1.56 J | 3.12 kW | 1.86e-15 | 61 | 20224 | 168 | 56448 |
+| numeric | cg | fp64 | banded | jacobi | 4096 | 8 | full | 1 | 400 us | 1.29 J | 3.22 kW | 1.29e-15 | 42 | 69184 | 168 | 56448 |
+)pin");
+  std::ostringstream table;
+  print_report_table(table, records);
+  EXPECT_EQ(table.str(), R"pin(+---------+-----------+-----------+----------+---------+------+-------+--------+------+----------+---------+------------+-------------+--------+---------+----------+-------+-------+-----------+------------+
+| tier    | algorithm | precision | matrix   | precond | n    | ranks | layout | reps | duration | ci95    | PKG energy | DRAM energy | total  | power   | residual | iters | nnz   | halo msgs | halo bytes |
++---------+-----------+-----------+----------+---------+------+-------+--------+------+----------+---------+------------+-------------+--------+---------+----------+-------+-------+-----------+------------+
+| numeric | ime       | fp64      | -        | -       |  256 |     4 | full   |    1 |  1.24 ms | 19.6 us |     3.41 J |      188 mJ | 3.60 J | 2.90 kW | 0.03e-15 | -     | -     | -         | -          |
+| numeric | scalapack | mixed     | -        | -       | 1024 |    16 | full   |    1 |  42.1 ms | -       |      116 J |      188 mJ |  116 J | 2.75 kW | 0.03e-15 | -     | -     | -         | -          |
+| numeric | cg        | fp64      | stencil5 | none    | 4096 |     4 | full   |    1 |   500 us | -       |     1.38 J |      188 mJ | 1.56 J | 3.12 kW | 1.86e-15 |    61 | 20224 |       168 |      56448 |
+| numeric | cg        | fp64      | banded   | jacobi  | 4096 |     8 | full   |    1 |   400 us | -       |     1.10 J |      188 mJ | 1.29 J | 3.22 kW | 1.29e-15 |    42 | 69184 |       168 |      56448 |
++---------+-----------+-----------+----------+---------+------+-------+--------+------+----------+---------+------------+-------------+--------+---------+----------+-------+-------+-----------+------------+
+)pin");
+}
+
+TEST(ReportTest, ConditionalColumnsAppearOnlyWhenKeyed) {
+  const std::vector<JobRecord> all = pinned_records();
+  const auto header = [](std::vector<JobRecord> records) {
+    std::ostringstream csv;
+    write_report_csv(csv, records);
+    return csv.str().substr(0, csv.str().find('\n'));
+  };
+  const std::string stats =
+      "duration_mean_s,duration_stddev_s,duration_ci95_s,duration_min_s,"
+      "duration_max_s,total_mean_j,total_stddev_j,total_ci95_j,pkg_mean_j,"
+      "dram_mean_j,power_mean_w,residual_worst";
+  EXPECT_EQ(header({all[0]}),
+            "tier,machine,algorithm,n,ranks,layout,nb,seed,power_cap_w,reps," +
+                stats);
+  EXPECT_EQ(header({all[0], all[2]}),
+            "tier,machine,algorithm,matrix,n,ranks,layout,nb,seed,"
+            "power_cap_w,reps," +
+                stats + ",cg_iters,nnz,halo_msgs,halo_bytes");
+}
+
 // --- campaign-level determinism --------------------------------------------
 
 TEST(CampaignTest, ReportsAreByteIdenticalAcrossInterruptAndResume) {
@@ -770,16 +1050,15 @@ TEST(CampaignTest, ReportsAreByteIdenticalAcrossWorkerCounts) {
 TEST(CampaignTest, PrecisionColumnAppearsOnlyWithMixedJobs) {
   // fp64-only reports keep the pre-mixed header byte-for-byte; a grid with
   // mixed points gains the precision column.
-  CampaignManifest manifest = tiny_manifest();
   CampaignOptions fp64_options;
   fp64_options.store_dir = scratch_dir("campaign_fp64_only");
-  const CampaignResult fp64 = run_campaign(manifest, fp64_options);
+  const CampaignResult fp64 = run_campaign(tiny_manifest(), fp64_options);
   const std::string fp64_csv = read_file(fp64.csv_path);
   EXPECT_EQ(fp64_csv.find("precision"), std::string::npos);
 
-  manifest.algorithms = {perfsim::Algorithm::kScalapack};
-  manifest.precisions = {perfsim::Precision::kFp64,
-                         perfsim::Precision::kMixed};
+  const CampaignManifest manifest =
+      parse_manifest(std::string(kTinyManifest) +
+                     "grid algorithm scalapack\ngrid precision fp64 mixed\n");
   CampaignOptions mixed_options;
   mixed_options.store_dir = scratch_dir("campaign_mixed");
   const CampaignResult mixed = run_campaign(manifest, mixed_options);

@@ -283,5 +283,72 @@ TEST(Campaign, TableAndCsvRender) {
   EXPECT_NE(csv.str().find("IMe,256,2"), std::string::npos);
 }
 
+TEST(Campaign, WriterBytesArePinned) {
+  // Hand-built results of each kind: dense fp64, mixed scalapack (3
+  // refinement sweeps), cg stencil5 and cg banded+jacobi.
+  const perfsim::Algorithm algorithms[] = {
+      perfsim::Algorithm::kIme, perfsim::Algorithm::kScalapack,
+      perfsim::Algorithm::kCg, perfsim::Algorithm::kCg};
+  const std::size_t sizes[] = {256, 1024, 4096, 4096};
+  const int ranks[] = {4, 16, 4, 8};
+  const double durations[] = {0.00123, 0.0421, 0.0005, 0.0004};
+  const int cg_iters[] = {0, 0, 61, 42};
+  const std::size_t nnz[] = {0, 0, 20224, 69184};
+  const int reps[] = {2, 1, 2, 1};
+  std::vector<JobResult> jobs(4);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    JobSpec& spec = jobs[j].spec;
+    spec.algorithm = algorithms[j];
+    spec.n = sizes[j];
+    spec.ranks = ranks[j];
+    spec.repetitions = reps[j];
+    for (int r = 0; r < reps[j]; ++r) {
+      // The dense job's second repetition runs a little longer.
+      const double d = durations[j] + (j == 0 ? 2e-5 * r : 0.0);
+      RepetitionResult rep;
+      rep.measurement.duration_s = d;
+      rep.measurement.pkg_j[0] = 1.5 * d * 1000;
+      rep.measurement.pkg_j[1] = 1.25 * d * 1000;
+      rep.measurement.dram_j[0] = 0.125;
+      rep.measurement.dram_j[1] = 0.0625;
+      rep.residual = 3.0e-17 * (1 + cg_iters[j]);
+      rep.host_seconds = 0.25;
+      rep.cg_iters = cg_iters[j];
+      rep.nnz = nnz[j];
+      if (cg_iters[j] > 0) {
+        rep.halo_messages = 168;
+        rep.halo_bytes = 56448;
+      }
+      rep.refine_iters = j == 1 ? 3 : 0;
+      jobs[j].repetitions.push_back(rep);
+    }
+  }
+  jobs[1].spec.precision = perfsim::Precision::kMixed;
+  jobs[3].spec.matrix = sparse::SparseKind::kBanded;
+  jobs[3].spec.precond = solvers::CgPrecond::kJacobi;
+
+  std::ostringstream table;
+  print_campaign_table(table, jobs);
+  EXPECT_EQ(table.str(), R"pin(+-----------+-----------+----------+---------+------+-------+-----------+------+----------+------------+-------------+--------+---------+----------+-------+-------+-----------+------------+
+| algorithm | precision | matrix   | precond | n    | ranks | layout    | reps | duration | PKG energy | DRAM energy | total  | power   | residual | iters | nnz   | halo msgs | halo bytes |
++-----------+-----------+----------+---------+------+-------+-----------+------+----------+------------+-------------+--------+---------+----------+-------+-------+-----------+------------+
+| IMe       | fp64      | -        | -       |  256 |     4 | full-load |    2 |  1.24 ms |     3.41 J |      188 mJ | 3.60 J | 2.90 kW | 0.03e-15 | -     | -     | -         | -          |
+| ScaLAPACK | mixed     | -        | -       | 1024 |    16 | full-load |    1 |  42.1 ms |      116 J |      188 mJ |  116 J | 2.75 kW | 0.03e-15 | -     | -     | -         | -          |
+| CG        | fp64      | stencil5 | none    | 4096 |     4 | full-load |    2 |   500 us |     1.38 J |      188 mJ | 1.56 J | 3.12 kW | 1.86e-15 |    61 | 20224 |       168 |      56448 |
+| CG        | fp64      | banded   | jacobi  | 4096 |     8 | full-load |    1 |   400 us |     1.10 J |      188 mJ | 1.29 J | 3.22 kW | 1.29e-15 |    42 | 69184 |       168 |      56448 |
++-----------+-----------+----------+---------+------+-------+-----------+------+----------+------------+-------------+--------+---------+----------+-------+-------+-----------+------------+
+)pin");
+  std::ostringstream csv;
+  write_campaign_csv(csv, jobs);
+  EXPECT_EQ(csv.str(), R"pin(algorithm,precision,matrix,precond,n,ranks,layout,repetition,duration_s,pkg0_j,pkg1_j,dram0_j,dram1_j,total_j,power_w,residual,host_s,cg_iters,nnz,halo_msgs,halo_bytes,refine_iters,fell_back
+IMe,fp64,-,-,256,4,full-load,0,0.001230000,1.845000,1.537500,0.125000,0.062500,3.570000,2902.439,0.000000000000000030,0.2500,0,0,0,0,0,0
+IMe,fp64,-,-,256,4,full-load,1,0.001250000,1.875000,1.562500,0.125000,0.062500,3.625000,2900.000,0.000000000000000030,0.2500,0,0,0,0,0,0
+ScaLAPACK,mixed,-,-,1024,16,full-load,0,0.042100000,63.150000,52.625000,0.125000,0.062500,115.962500,2754.454,0.000000000000000030,0.2500,0,0,0,0,3,0
+CG,fp64,stencil5,none,4096,4,full-load,0,0.000500000,0.750000,0.625000,0.125000,0.062500,1.562500,3125.000,0.000000000000001860,0.2500,61,20224,168,56448,0,0
+CG,fp64,stencil5,none,4096,4,full-load,1,0.000500000,0.750000,0.625000,0.125000,0.062500,1.562500,3125.000,0.000000000000001860,0.2500,61,20224,168,56448,0,0
+CG,fp64,banded,jacobi,4096,8,full-load,0,0.000400000,0.600000,0.500000,0.125000,0.062500,1.287500,3218.750,0.000000000000001290,0.2500,42,69184,168,56448,0,0
+)pin");
+}
+
 }  // namespace
 }  // namespace plin::monitor

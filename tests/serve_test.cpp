@@ -94,14 +94,36 @@ TEST(ProtocolTest, RejectsGarbage) {
       parse_request(R"({"op":"submit","spec":{"n":96,"typo_field":1}})"),
       InvalidArgument);
   EXPECT_THROW(parse_request(R"({"op":"wait","key":"tooshort"})"), Error);
+  // Spec numbers are range-checked, never cast: negative, fractional, zero
+  // where a positive value is required, and too large for the field.
+  for (const char* spec :
+       {R"({"n":-5})", R"({"n":2.5})", R"({"nb":0})", R"({"reps":0})",
+        R"({"ranks":3e9})", R"({"seed":1e20})", R"({"power_cap_w":-1})",
+        R"({"tolerance":0})", R"({"precision":"mixed"})",
+        R"({"matrix":"banded"})"}) {
+    EXPECT_THROW(parse_request(std::string(R"({"op":"submit","spec":)") +
+                               spec + "}"),
+                 InvalidArgument)
+        << spec;
+  }
 }
 
 TEST(ProtocolTest, SpecRoundTripsThroughJson) {
   batch::JobSpec spec = replay_spec(7, 128);
   spec.precision = perfsim::Precision::kMixed;
   spec.repetitions = 3;
-  const batch::JobSpec back = spec_from_json(spec_to_json(spec));
+  const batch::JobSpec back = batch::spec_from_json(batch::spec_to_json(spec));
   EXPECT_EQ(back.key(), spec.key());
+
+  batch::JobSpec cg = replay_spec(8);
+  cg.algorithm = perfsim::Algorithm::kCg;
+  cg.matrix = sparse::SparseKind::kBanded;
+  cg.precond = solvers::CgPrecond::kJacobi;
+  const batch::JobSpec cg_back =
+      batch::spec_from_json(batch::spec_to_json(cg));
+  EXPECT_EQ(cg_back.matrix, sparse::SparseKind::kBanded);
+  EXPECT_EQ(cg_back.precond, solvers::CgPrecond::kJacobi);
+  EXPECT_EQ(cg_back.key(), cg.key());
 }
 
 // --- engine: dedupe, coalescing, admission ----------------------------------
@@ -422,6 +444,25 @@ TEST_F(ServerFixture, PingSubmitWaitStatsOverSocket) {
             1.0);
   EXPECT_EQ(stats.at("stats").at("scheduler").at("cache_hits").as_number(),
             1.0);
+}
+
+TEST_F(ServerFixture, ServedCgJobKeepsMatrixAndPrecond) {
+  // Client and daemon share the spec codec, so a served cg job runs the
+  // family and preconditioner it was submitted with, under the client's key.
+  start();
+  Client client(socket_path_);
+  batch::JobSpec spec;
+  spec.machine = "mini:8x4";
+  spec.algorithm = perfsim::Algorithm::kCg;
+  spec.matrix = sparse::SparseKind::kBanded;
+  spec.precond = solvers::CgPrecond::kJacobi;
+  spec.n = 1024;
+  const json::Value answer = client.submit(spec, "cg", /*wait=*/true);
+  ASSERT_TRUE(answer.at("ok").as_bool()) << json::serialize(answer);
+  EXPECT_EQ(answer.at("key").as_string(), spec.key());
+  const json::Value& served = answer.at("record").at("spec");
+  EXPECT_EQ(served.at("matrix").as_string(), "banded");
+  EXPECT_EQ(served.at("precond").as_string(), "jacobi");
 }
 
 TEST_F(ServerFixture, MalformedLinesGetErrorsNotDisconnects) {

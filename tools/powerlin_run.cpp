@@ -15,7 +15,6 @@
 #include "monitor/campaign.hpp"
 #include "perfsim/simulator.hpp"
 #include "solvers/jacobi/jacobi.hpp"
-#include "sparse/generate.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
@@ -65,53 +64,53 @@ Campaign mode (batch orchestrator, docs/campaign.md):
   --help       this text
 )";
 
-hw::LoadLayout parse_layout(const std::string& name) {
-  return batch::parse_layout_token(name);
+/// The one-off job the flags describe. The flag defaults differ from the
+/// JobSpec ones: a paper-scale Marconi point on the replay tier, a 16-rank
+/// mini-cluster point on the numeric tier.
+monitor::JobSpec spec_from_flags(const CliArgs& args) {
+  monitor::JobSpec spec;
+  const auto set = [&](const monitor::Axis& axis, const std::string& token) {
+    try {
+      axis.codec.parse(spec, token);
+    } catch (const InvalidArgument& e) {
+      throw InvalidArgument(std::string("--") + axis.flag + ": " + e.what());
+    }
+  };
+  set(*monitor::find_axis("tier"), args.get("tier", "numeric"));
+  if (spec.tier == monitor::Tier::kReplay) {
+    spec.machine = "marconi";
+    spec.n = 17280;
+    spec.ranks = 576;
+    spec.nb = 64;
+  } else {
+    spec.machine = "mini:32x4";
+    spec.n = 512;
+    spec.ranks = 16;
+  }
+  // Table order parses --algorithm first; a flag whose field the algorithm
+  // does not carry (--matrix for ime, --tol for Jacobi's own solver) is
+  // not part of the job.
+  for (const monitor::Axis& axis : monitor::axes()) {
+    if (axis.flag != nullptr && args.has(axis.flag) &&
+        axis.applies_to(spec.algorithm)) {
+      set(axis, args.get(axis.flag, ""));
+    }
+  }
+  monitor::validate(spec);
+  return spec;
 }
 
-int run_replay(const CliArgs& args) {
-  const hw::MachineSpec machine = hw::marconi_a3();
-  const std::size_t n = static_cast<std::size_t>(args.get_int("n", 17280));
-  const int ranks = static_cast<int>(args.get_int("ranks", 576));
-  const hw::LoadLayout layout = parse_layout(args.get("layout", "full"));
-  const std::string algorithm = args.get("algorithm", "ime");
-  const std::size_t nb = static_cast<std::size_t>(args.get_int("nb", 64));
-  perfsim::Workload workload;
-  workload.n = n;
-  workload.nb = nb;
-  if (algorithm == "scalapack") {
-    workload.algorithm = perfsim::Algorithm::kScalapack;
-  } else if (algorithm == "jacobi") {
-    workload.algorithm = perfsim::Algorithm::kJacobi;
-    workload.iterations = static_cast<int>(args.get_int("iterations", 100));
-  } else if (algorithm == "cg") {
-    workload.algorithm = perfsim::Algorithm::kCg;
-    workload.matrix =
-        sparse::parse_kind_token(args.get("matrix", "stencil5"));
-    workload.tolerance = args.get_double("tol", 1e-11);
-    workload.precond =
-        solvers::parse_precond_token(args.get("precond", "none"));
-  } else {
-    workload.algorithm = perfsim::Algorithm::kIme;
-  }
-  workload.precision =
-      batch::parse_precision_token(args.get("precision", "fp64"));
-  if (workload.precision != perfsim::Precision::kFp64 &&
-      workload.algorithm != perfsim::Algorithm::kScalapack) {
-    std::cerr << "error: --precision mixed is a GEPP (scalapack) variant; "
-                 "IMe/Jacobi have no fp32 path\n";
-    return 1;
-  }
-  const perfsim::Algorithm alg = workload.algorithm;
-
+int run_replay(const monitor::JobSpec& spec) {
+  const hw::MachineSpec machine = batch::machine_from_name(spec.machine);
+  const hw::Placement placement =
+      hw::make_placement(spec.ranks, spec.layout, machine);
   const perfsim::Simulator simulator(machine);
-  const hw::Placement placement = hw::make_placement(ranks, layout, machine);
-  const perfsim::Prediction p = simulator.predict(workload, placement);
+  const perfsim::Prediction p = simulator.predict(spec.workload(), placement);
 
   std::cout << "Replay-tier prediction on " << machine.name << ": "
-            << perfsim::to_string(alg) << " ("
-            << perfsim::to_string(workload.precision) << "), n=" << n << ", "
-            << placement.describe() << "\n\n";
+            << perfsim::to_string(spec.algorithm) << " ("
+            << perfsim::to_string(spec.precision) << "), n=" << spec.n
+            << ", " << placement.describe() << "\n\n";
   TextTable table({"metric", "value"});
   table.add_row({"duration", format_duration(p.duration_s)});
   table.add_row({"PKG energy (socket 0)", format_energy(p.pkg_j[0])});
@@ -127,24 +126,19 @@ int run_replay(const CliArgs& args) {
   return 0;
 }
 
-int run_numeric(const CliArgs& args) {
-  const hw::MachineSpec machine = hw::mini_cluster(32, 4);
-  const std::size_t n = static_cast<std::size_t>(args.get_int("n", 512));
-  const int ranks = static_cast<int>(args.get_int("ranks", 16));
-  const hw::LoadLayout layout = parse_layout(args.get("layout", "full"));
-  const std::string algorithm = args.get("algorithm", "ime");
-
-  if (algorithm == "jacobi") {
+int run_numeric(const CliArgs& args, const monitor::JobSpec& spec) {
+  const hw::MachineSpec machine = batch::machine_from_name(spec.machine);
+  if (spec.algorithm == perfsim::Algorithm::kJacobi) {
     xmpi::RunConfig config;
     config.machine = machine;
-    config.placement = hw::make_placement(ranks, layout, machine);
+    config.placement = hw::make_placement(spec.ranks, spec.layout, machine);
     config.trace_dir = args.get("trace-dir", "");
     solvers::JacobiResult result;
     const xmpi::RunResult run =
         xmpi::Runtime::run(config, [&](xmpi::Comm& comm) {
           solvers::JacobiOptions options;
-          options.n = n;
-          options.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+          options.n = spec.n;
+          options.seed = spec.seed;
           options.tolerance = args.get_double("tol", 1e-12);
           options.dominance = args.get_double("dominance", 0.0);
           const solvers::JacobiResult r = solve_pjacobi(comm, options);
@@ -157,26 +151,6 @@ int run_numeric(const CliArgs& args) {
               << format_energy(run.energy.total_j()) << "\n";
     return result.converged ? 0 : 1;
   }
-
-  monitor::JobSpec spec;
-  if (algorithm == "scalapack") {
-    spec.algorithm = perfsim::Algorithm::kScalapack;
-  } else if (algorithm == "cg") {
-    spec.algorithm = perfsim::Algorithm::kCg;
-    spec.matrix = sparse::parse_kind_token(args.get("matrix", "stencil5"));
-    spec.tolerance = args.get_double("tol", 1e-11);
-    spec.precond = solvers::parse_precond_token(args.get("precond", "none"));
-  } else {
-    spec.algorithm = perfsim::Algorithm::kIme;
-  }
-  spec.n = n;
-  spec.ranks = ranks;
-  spec.layout = layout;
-  spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  spec.nb = static_cast<std::size_t>(args.get_int("nb", 32));
-  spec.repetitions = static_cast<int>(args.get_int("reps", 1));
-  spec.precision =
-      batch::parse_precision_token(args.get("precision", "fp64"));
 
   monitor::MonitorOptions options;
   options.output_dir = args.get("out", "");
@@ -247,11 +221,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (args.has("campaign")) return run_campaign_mode(args);
-    const std::string tier = args.get("tier", "numeric");
-    if (tier == "replay") return run_replay(args);
-    if (tier == "numeric") return run_numeric(args);
-    std::cerr << "unknown --tier (use numeric | replay): " << tier << "\n";
-    return 1;
+    const monitor::JobSpec spec = spec_from_flags(args);
+    return spec.tier == monitor::Tier::kReplay ? run_replay(spec)
+                                               : run_numeric(args, spec);
   } catch (const plin::Error& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;
