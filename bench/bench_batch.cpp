@@ -3,17 +3,16 @@
 // Runs one numeric-tier campaign grid through the orchestrator four ways —
 // fresh on 1 worker, fresh on 4 workers, interrupted + resumed, and a
 // pure-cache resume — prints a host wall-clock table and writes
-// machine-readable `BENCH_batch.json` (mirroring BENCH_kernels.json /
-// BENCH_xmpi.json) so orchestration overhead has a recorded trajectory.
-// The simulated results are bit-identical across all four schedules, which
-// the harness verifies by diffing the stores' report bytes.
+// `BENCH_batch.json` (bench/harness.hpp schema) so orchestration overhead
+// has a recorded trajectory. The simulated results are bit-identical
+// across all four schedules, which the harness verifies by diffing the
+// stores' report bytes; the executed/cached split of every case is
+// deterministic, so it is baselined exactly.
 //
-// Flags:
-//   --smoke      smaller grid (CI smoke mode)
-//   --out PATH   JSON output path (default BENCH_batch.json)
-//   --check      exit nonzero unless (a) every schedule produced the same
-//                report bytes and (b) the pure-cache resume beat the fresh
-//                single-worker run
+// Flags (bench/harness.hpp): --smoke for a smaller grid; --check exits
+// nonzero unless (a) every schedule produced the same report bytes, (b) the
+// pure-cache resume beat the fresh single-worker run and (c), with
+// --baseline, every executed/cached count matches.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -21,8 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
+
 #include "batch/campaign.hpp"
-#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -75,10 +75,8 @@ Case run_case(const std::string& name, const batch::CampaignManifest& manifest,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
-  const bool smoke = args.get_bool("smoke", false);
-  const bool check = args.get_bool("check", false);
-  const std::string out_path = args.get("out", "BENCH_batch.json");
+  bench::Harness h("batch", argc, argv);
+  const bool smoke = h.smoke();
 
   constexpr int kReps = 2;
   const batch::CampaignManifest manifest = batch::parse_manifest(
@@ -135,26 +133,22 @@ int main(int argc, char** argv) {
   std::cout << "\nreports byte-identical across schedules: "
             << (identical ? "yes" : "NO") << "\n";
 
-  std::ofstream json(out_path, std::ios::trunc);
-  json << "{\n  \"bench\": \"batch\",\n  \"jobs\": " << manifest.job_count()
-       << ",\n  \"smoke\": " << (smoke ? "true" : "false")
-       << ",\n  \"reports_identical\": " << (identical ? "true" : "false")
-       << ",\n  \"cases\": [\n";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const Case& c = cases[i];
-    json << "    {\"name\": \"" << c.name << "\", \"host_s\": " << c.host_s
-         << ", \"executed\": " << c.executed << ", \"cached\": " << c.cached
-         << "}" << (i + 1 < cases.size() ? "," : "") << "\n";
+  h.record("jobs", static_cast<double>(manifest.job_count()), "count",
+           bench::Clock::kNone);
+  h.record("reports_identical", identical ? 1.0 : 0.0, "bool",
+           bench::Clock::kNone);
+  for (const Case& c : cases) {
+    h.record(c.name + ".host_s", c.host_s, "s", bench::Clock::kHost);
+    h.record(c.name + ".executed", static_cast<double>(c.executed), "count",
+             bench::Clock::kNone, bench::exact());
+    h.record(c.name + ".cached", static_cast<double>(c.cached), "count",
+             bench::Clock::kNone, bench::exact());
   }
-  json << "  ]\n}\n";
-  std::cout << "wrote " << out_path << "\n";
-
-  if (check) {
-    const bool cache_wins = cases.back().host_s < cases.front().host_s;
-    std::cout << "check: identical=" << (identical ? "pass" : "FAIL")
-              << " cache-beats-fresh=" << (cache_wins ? "pass" : "FAIL")
-              << "\n";
-    return identical && cache_wins ? 0 : 1;
-  }
-  return 0;
+  h.gate("identical", identical,
+         "report.csv bytes must match across schedules");
+  h.gate("cache-beats-fresh", cases.back().host_s < cases.front().host_s,
+         "pure-cache resume " + format_duration(cases.back().host_s) +
+             " vs fresh single-worker " +
+             format_duration(cases.front().host_s));
+  return h.finish();
 }

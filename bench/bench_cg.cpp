@@ -24,27 +24,23 @@
 // checks the predicted per-iteration time against the executed one within
 // the existing 3x model envelope (both directions).
 //
-// Everything lands in BENCH_cg.json (schema powerlin-bench-cg/v1). The
-// virtual-time fields are fully deterministic and compared exactly against
-// the checked-in smoke baseline under --check; the host wall-clock SpMV
-// timings are machine-dependent and only floor-gated, never baselined.
+// Everything lands in BENCH_cg.json (bench/harness.hpp schema). The
+// virtual-time records are fully deterministic and compared against the
+// checked-in smoke baseline under --check (iterations exact, duration to
+// 1e-5 relative); the host wall-clock SpMV timings are machine-dependent
+// and only floor-gated, never baselined.
 //
-// Flags:
-//   --smoke           CI sizes (pinned point n=4Ki) instead of n=16Ki
-//   --check           exit nonzero unless every gate above holds and — when
-//                     --baseline is given — the deterministic fields match
-//                     the checked-in smoke baseline
-//   --out=PATH        JSON output path (default BENCH_cg.json)
-//   --baseline=PATH   checked-in BENCH_cg_smoke.json to compare against
+// Flags (bench/harness.hpp): --smoke for the CI size (pinned point n=4Ki)
+// instead of n=16Ki; --check exits nonzero unless every gate above holds
+// and, with --baseline, the deterministic records match.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "harness.hpp"
 
 #include "hwmodel/machine.hpp"
 #include "hwmodel/placement.hpp"
@@ -144,49 +140,11 @@ double time_stream_floor(const sparse::CsrMatrix& a, std::uint64_t* sink) {
   return best;
 }
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-double baseline_field(const std::string& path, const std::string& name) {
-  std::ifstream in(path);
-  if (!in) return -1.0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"" + name + "\":";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  std::string out_path = "BENCH_cg.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown argument '%s' (expected --smoke --check "
-                   "--out=PATH --baseline=PATH)\n",
-                   argv[i]);
-      return 2;
-    }
-  }
-
+  bench::Harness h("cg", argc, argv);
+  const bool smoke = h.smoke();
   const std::size_t n = smoke ? 4096 : 16384;
   std::printf("bench_cg: stencil5 n=%zu, %d ranks, tol %g (%s)\n", n, kRanks,
               kTolerance, smoke ? "smoke" : "full");
@@ -245,77 +203,35 @@ int main(int argc, char** argv) {
   std::printf("  replay:   %8.3f us/iter predicted (%.2fx executed)\n",
               predicted_iter_s * 1e6, model_ratio);
 
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-cg/v1\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      << "  \"n\": " << n << ",\n"
-      << "  \"ranks\": " << kRanks << ",\n"
-      << "  \"fused_iters\": " << fused.iters << ",\n"
-      << "  \"fused_s\": " << fmt(fused.duration_s) << ",\n"
-      << "  \"fused_iter_s\": " << fmt(fused.iter_s) << ",\n"
-      << "  \"simd_isa\": \"" << isa << "\",\n"
-      << "  \"spmv_scalar_s\": " << fmt(scalar_s) << ",\n"
-      << "  \"spmv_simd_s\": " << fmt(simd_s) << ",\n"
-      << "  \"spmv_speedup\": " << fmt(spmv_speedup) << ",\n"
-      << "  \"spmv_stream_s\": " << fmt(stream_s) << ",\n"
-      << "  \"spmv_attainable\": " << fmt(attainable) << ",\n"
-      << "  \"spmv_floor\": " << fmt(spmv_floor) << ",\n"
-      << "  \"predicted_iter_s\": " << fmt(predicted_iter_s) << ",\n"
-      << "  \"model_ratio\": " << fmt(model_ratio) << "\n}\n";
-  if (!out.flush()) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
+  h.record("n", static_cast<double>(n), "count", bench::Clock::kNone);
+  h.record("ranks", kRanks, "count", bench::Clock::kNone);
+  h.record("fused_iters", fused.iters, "count", bench::Clock::kNone,
+           bench::exact());
+  h.record("fused_s", fused.duration_s, "s", bench::Clock::kVirtual,
+           bench::rel(1e-5));
+  h.record("fused_iter_s", fused.iter_s, "s", bench::Clock::kVirtual);
+  h.record("simd_isa." + isa, 1.0, "flag", bench::Clock::kNone);
+  h.record("spmv_scalar_s", scalar_s, "s", bench::Clock::kHost);
+  h.record("spmv_simd_s", simd_s, "s", bench::Clock::kHost);
+  h.record("spmv_speedup", spmv_speedup, "ratio", bench::Clock::kHost);
+  h.record("spmv_stream_s", stream_s, "s", bench::Clock::kHost);
+  h.record("spmv_attainable", attainable, "ratio", bench::Clock::kHost);
+  h.record("spmv_floor", spmv_floor, "ratio", bench::Clock::kHost);
+  h.record("predicted_iter_s", predicted_iter_s, "s", bench::Clock::kVirtual);
+  h.record("model_ratio", model_ratio, "ratio", bench::Clock::kVirtual);
 
-  if (check) {
-    bool ok = true;
-    if (spmv_speedup < spmv_floor) {
-      std::fprintf(stderr,
-                   "FAIL: simd spmv speedup %.2fx below the %.2fx floor "
-                   "(%s, stream ceiling %.2fx)\n",
-                   spmv_speedup, spmv_floor, isa.c_str(), attainable);
-      ok = false;
-    }
-    if (model_ratio > 3.0 || (model_ratio > 0.0 && model_ratio < 1.0 / 3.0)) {
-      std::fprintf(stderr,
-                   "FAIL: perfsim per-iteration prediction off by %.2fx "
-                   "(envelope 3x)\n",
-                   model_ratio);
-      ok = false;
-    }
-    if (!baseline_path.empty()) {
-      // Virtual-time outputs are deterministic: iterations exact, durations
-      // to the %.6g precision the baseline file stores.
-      const struct {
-        const char* name;
-        double value;
-        bool exact;
-      } fields[] = {
-          {"fused_iters", static_cast<double>(fused.iters), true},
-          {"fused_s", fused.duration_s, false},
-      };
-      for (const auto& field : fields) {
-        const double base = baseline_field(baseline_path, field.name);
-        if (base < 0.0) {
-          std::fprintf(stderr, "FAIL: no %s field in %s\n", field.name,
-                       baseline_path.c_str());
-          ok = false;
-          continue;
-        }
-        const bool match = field.exact
-                               ? base == field.value
-                               : std::fabs(field.value - base) <= 1e-5 * base;
-        if (!match) {
-          std::fprintf(stderr, "FAIL: %s %.6g != baseline %.6g\n",
-                       field.name, field.value, base);
-          ok = false;
-        }
-      }
-      if (ok) std::printf("check ok: matches %s\n", baseline_path.c_str());
-    }
-    if (!ok) return 1;
-  }
-  return 0;
+  char detail[160];
+  std::snprintf(detail, sizeof(detail),
+                "simd spmv speedup %.2fx vs the %.2fx floor (%s, stream "
+                "ceiling %.2fx)",
+                spmv_speedup, spmv_floor, isa.c_str(), attainable);
+  h.gate("spmv-speedup>=floor", spmv_speedup >= spmv_floor, detail);
+  std::snprintf(detail, sizeof(detail),
+                "perfsim per-iteration prediction %.2fx the executed one "
+                "(envelope 3x)",
+                model_ratio);
+  h.gate("model-within-3x",
+         !(model_ratio > 3.0 || (model_ratio > 0.0 && model_ratio < 1.0 / 3.0)),
+         detail);
+  return h.finish();
 }

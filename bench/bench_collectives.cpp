@@ -8,25 +8,25 @@
 // counts and host wall-clock. A pool-off run of the tree schedule gives
 // the per-message allocation baseline the payload pool removes.
 //
-// Output: a table plus machine-readable `BENCH_collectives.json`
-// (schema powerlin-bench-collectives/v1).
+// Output: a table plus `BENCH_collectives.json` (bench/harness.hpp
+// schema). The bytes through rank 0 are deterministic, so each case's
+// root_through_bytes is baselined exactly.
 //
-// Flags:
-//   --smoke     small rank counts (CI smoke mode)
-//   --out=PATH  JSON output path (default BENCH_collectives.json)
-//   --check     exit nonzero unless, at the largest rank count,
-//               (a) the scalable allgather and allreduce move >= 2x less
-//                   bytes through rank 0 than the tree schedules, and
-//               (b) the pool removes heap allocations (pool-on misses <
-//                   pool-off misses).
+// Flags (bench/harness.hpp): --smoke for small rank counts; --check exits
+// nonzero unless, at the largest rank count,
+//   (a) the scalable allgather and allreduce move >= 2x less bytes through
+//       rank 0 than the tree schedules, and
+//   (b) the pool removes heap allocations (pool-on misses < pool-off
+//       misses),
+// and, with --baseline, every root_through_bytes matches.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "harness.hpp"
 
 #include "hwmodel/placement.hpp"
 #include "xmpi/runtime.hpp"
@@ -111,14 +111,6 @@ constexpr WorkloadSpec kWorkloads[] = {
 
 // ---- measurement -----------------------------------------------------------
 
-template <typename F>
-double seconds_of(F&& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  body();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
 /// One mode of one workload: virtual + host timing and transport counters.
 struct ModeSample {
   double duration_s = 0.0;      // virtual
@@ -145,10 +137,7 @@ ModeSample sample(const WorkloadSpec& spec, int ranks,
     out.pool_hits = run.transport.pool.hits;
     out.rendezvous = run.transport.rendezvous_messages;
   };
-  double best = seconds_of(once);  // warm measurement doubles as rep 1
-  const int reps = best > 1.0 ? 1 : 3;
-  for (int r = 0; r < reps; ++r) best = std::min(best, seconds_of(once));
-  out.host_s = best;
+  out.host_s = bench::best_seconds(once, {0.0, 3, 3, 1.0, 1});
   return out;
 }
 
@@ -168,47 +157,12 @@ struct CaseResult {
   }
 };
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
+}  // namespace
 
-bool write_json(const std::string& path, bool smoke,
-                const std::vector<CaseResult>& results) {
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-collectives/v1\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      << "  \"results\": [\n";
-  bool first = true;
-  for (const CaseResult& r : results) {
-    if (!first) out << ",\n";
-    first = false;
-    const auto mode_json = [&](const char* key, const ModeSample& m) {
-      out << "\"" << key << "\": {\"duration_s\": " << fmt(m.duration_s)
-          << ", \"root_through_bytes\": " << m.root_bytes
-          << ", \"messages\": " << m.messages
-          << ", \"alloc_count\": " << m.allocs
-          << ", \"pool_hits\": " << m.pool_hits
-          << ", \"rendezvous_messages\": " << m.rendezvous
-          << ", \"host_s\": " << fmt(m.host_s) << "}";
-    };
-    out << "    {\"workload\": \"" << r.workload << "\", \"ranks\": "
-        << r.ranks << ", ";
-    mode_json("tree", r.tree);
-    out << ", ";
-    mode_json("scalable", r.scalable);
-    out << ", \"root_bytes_ratio\": " << fmt(r.root_ratio())
-        << ", \"pool_off_alloc_count\": " << r.pool_off_allocs << "}";
-  }
-  out << "\n  ]\n}\n";
-  return static_cast<bool>(out.flush());
-}
-
-int run_harness(bool smoke, bool check, const std::string& out_path) {
+int main(int argc, char** argv) {
+  bench::Harness h("collectives", argc, argv);
   const std::vector<int> rank_counts =
-      smoke ? std::vector<int>{48, 144} : std::vector<int>{144, 576};
+      h.smoke() ? std::vector<int>{48, 144} : std::vector<int>{144, 576};
 
   std::vector<CaseResult> results;
   for (const WorkloadSpec& spec : kWorkloads) {
@@ -241,15 +195,36 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
                 static_cast<unsigned long long>(r.tree.allocs),
                 static_cast<unsigned long long>(r.tree.rendezvous));
   }
+  std::printf("\n");
 
-  if (!write_json(out_path, smoke, results)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
+  for (const CaseResult& r : results) {
+    const std::string prefix = r.workload + "." + std::to_string(r.ranks);
+    for (const auto& [mode, m] :
+         {std::pair{"tree", r.tree}, std::pair{"scalable", r.scalable}}) {
+      const std::string key = prefix + "." + mode;
+      h.record(key + ".duration_s", m.duration_s, "s",
+               bench::Clock::kVirtual);
+      h.record(key + ".root_through_bytes",
+               static_cast<double>(m.root_bytes), "bytes",
+               bench::Clock::kNone, bench::exact());
+      h.record(key + ".messages", static_cast<double>(m.messages), "count",
+               bench::Clock::kNone);
+      h.record(key + ".alloc_count", static_cast<double>(m.allocs), "count",
+               bench::Clock::kNone);
+      h.record(key + ".pool_hits", static_cast<double>(m.pool_hits), "count",
+               bench::Clock::kNone);
+      h.record(key + ".rendezvous_messages",
+               static_cast<double>(m.rendezvous), "count",
+               bench::Clock::kNone);
+      h.record(key + ".host_s", m.host_s, "s", bench::Clock::kHost);
+    }
+    h.record(prefix + ".root_bytes_ratio", r.root_ratio(), "ratio",
+             bench::Clock::kNone);
+    h.record(prefix + ".pool_off_alloc_count",
+             static_cast<double>(r.pool_off_allocs), "count",
+             bench::Clock::kNone);
   }
-  std::printf("\nwrote %s\n", out_path.c_str());
 
-  if (!check) return 0;
-  int failures = 0;
   const int largest = rank_counts.back();
   // Rendezvous delivery already bypasses the allocator for most exact-match
   // receives, so the pool's remaining win is gated in aggregate over the
@@ -257,49 +232,22 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
   // go ~all-rendezvous under favourable host scheduling).
   std::uint64_t allocs_on = 0;
   std::uint64_t allocs_off = 0;
+  char detail[160];
   for (const CaseResult& r : results) {
     if (r.ranks != largest) continue;
     allocs_on += r.tree.allocs;
     allocs_off += r.pool_off_allocs;
-    if (r.gated && r.root_ratio() < 2.0) {
-      std::fprintf(stderr,
-                   "FAIL: %s at %d ranks moves only %.2fx less data through "
-                   "rank 0 with the scalable schedule (need >= 2x)\n",
-                   r.workload.c_str(), r.ranks, r.root_ratio());
-      ++failures;
-    }
+    if (!r.gated) continue;
+    std::snprintf(detail, sizeof(detail),
+                  "%s at %d ranks moves %.2fx less data through rank 0 with "
+                  "the scalable schedule (need >= 2x)",
+                  r.workload.c_str(), r.ranks, r.root_ratio());
+    h.gate(r.workload + "-root-bytes>=2x", r.root_ratio() >= 2.0, detail);
   }
-  if (allocs_on >= allocs_off) {
-    std::fprintf(stderr,
-                 "FAIL: pool-on allocations (%llu) not below pool-off "
-                 "(%llu) at %d ranks\n",
-                 static_cast<unsigned long long>(allocs_on),
-                 static_cast<unsigned long long>(allocs_off), largest);
-    ++failures;
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  std::string out_path = "BENCH_collectives.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown argument '%s' (expected --smoke --check "
-                   "--out=PATH)\n",
-                   argv[i]);
-      return 2;
-    }
-  }
-  return run_harness(smoke, check, out_path);
+  std::snprintf(detail, sizeof(detail),
+                "pool-on allocations %llu vs pool-off %llu at %d ranks",
+                static_cast<unsigned long long>(allocs_on),
+                static_cast<unsigned long long>(allocs_off), largest);
+  h.gate("pool-removes-allocations", allocs_on < allocs_off, detail);
+  return h.finish();
 }

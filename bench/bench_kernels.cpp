@@ -1,44 +1,32 @@
-// Kernel perf-regression harness + google-benchmark microbenchmarks.
+// Kernel perf-regression harness.
 //
-// Default mode runs the regression harness: it sweeps GEMM shapes (square,
-// panel-shaped, KC-thin trailing-update) and the triangular solves over
-// BOTH kernel paths — the retained naive reference and the cache-blocked
-// packed engine — at BOTH precisions (fp64 and the fp32 tier the mixed
-// GEPP factorization runs on), cross-checks their results, prints a
-// GFLOP/s table and writes machine-readable `BENCH_kernels.json` so
-// subsequent PRs have a perf trajectory to compare against.
+// Sweeps GEMM shapes (square, panel-shaped, KC-thin trailing-update) and
+// the triangular solves over BOTH kernel paths — the retained naive
+// reference and the cache-blocked packed engine — at BOTH precisions (fp64
+// and the fp32 tier the mixed GEPP factorization runs on), cross-checks
+// their results, prints a GFLOP/s table and writes `BENCH_kernels.json`
+// (bench/harness.hpp schema) so kernel performance has a trajectory.
 //
-// Flags:
-//   --smoke         tiny sizes (CI smoke mode)
-//   --out=PATH      JSON output path (default BENCH_kernels.json)
-//   --check         exit nonzero unless blocked >= naive GFLOP/s on the
-//                   largest square GEMM shape of the sweep
-//   --gbench        run the original google-benchmark microbenchmarks
-//                   (remaining argv is passed through to the library)
-#include <benchmark/benchmark.h>
-
+// Flags (bench/harness.hpp): --smoke for tiny sizes; --check exits nonzero
+// unless blocked >= naive GFLOP/s on the largest square GEMM shape. A
+// naive/blocked divergence fails the run with or without --check.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "linalg/generate.hpp"
+#include "harness.hpp"
+
 #include "linalg/kernel_config.hpp"
 #include "linalg/kernels.hpp"
-#include "solvers/gepp/sequential.hpp"
-#include "solvers/ime/sequential.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using namespace plin;
-
-// ---- regression harness ----------------------------------------------------
 
 template <typename T>
 linalg::BasicMatrix<T> random_matrix(std::size_t rows, std::size_t cols,
@@ -63,26 +51,8 @@ double diff_budget(std::size_t k) {
   return unit * static_cast<double>(k) * 16.0;
 }
 
-template <typename F>
-double seconds_of(F&& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  body();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Best-of-N wall-clock of `body` (one untimed warmup; N adapts so cheap
-/// shapes are sampled more often than half-second ones).
-template <typename F>
-double best_seconds(F&& body) {
-  const double first = seconds_of(body);
-  int reps = 2;
-  if (first < 0.05) reps = 8;
-  if (first > 0.5) reps = 1;
-  double best = first;
-  for (int r = 0; r < reps; ++r) best = std::min(best, seconds_of(body));
-  return best;
-}
+/// Cheap shapes are sampled more often than half-second ones.
+constexpr bench::Reps kKernelReps{0.05, 8, 2, 0.5, 1};
 
 struct GemmResult {
   std::string shape;
@@ -120,14 +90,18 @@ GemmResult measure_gemm(const std::string& shape, std::size_t m, std::size_t n,
   }
 
   linalg::BasicMatrix<T> c = c0;
-  const double t_naive = best_seconds([&] {
-    linalg::gemm_naive<T>(T(1), a.view(), b.view(), T(0.5), c.view());
-    benchmark::DoNotOptimize(c.flat().data());
-  });
-  const double t_blocked = best_seconds([&] {
-    linalg::gemm_blocked<T>(T(1), a.view(), b.view(), T(0.5), c.view());
-    benchmark::DoNotOptimize(c.flat().data());
-  });
+  const double t_naive = bench::best_seconds(
+      [&] {
+        linalg::gemm_naive<T>(T(1), a.view(), b.view(), T(0.5), c.view());
+        bench::keep(c.flat().data());
+      },
+      kKernelReps);
+  const double t_blocked = bench::best_seconds(
+      [&] {
+        linalg::gemm_blocked<T>(T(1), a.view(), b.view(), T(0.5), c.view());
+        bench::keep(c.flat().data());
+      },
+      kKernelReps);
 
   GemmResult result;
   result.shape = shape;
@@ -179,16 +153,20 @@ TrsmResult measure_trsm_lower(std::size_t n, std::size_t m) {
   }
 
   linalg::BasicMatrix<T> x(n, m);
-  const double t_naive = best_seconds([&] {
-    x = b0;
-    linalg::trsm_lower_unit_naive<T>(l.view(), x.view());
-    benchmark::DoNotOptimize(x.flat().data());
-  });
-  const double t_blocked = best_seconds([&] {
-    x = b0;
-    linalg::trsm_lower_unit_blocked<T>(l.view(), x.view());
-    benchmark::DoNotOptimize(x.flat().data());
-  });
+  const double t_naive = bench::best_seconds(
+      [&] {
+        x = b0;
+        linalg::trsm_lower_unit_naive<T>(l.view(), x.view());
+        bench::keep(x.flat().data());
+      },
+      kKernelReps);
+  const double t_blocked = bench::best_seconds(
+      [&] {
+        x = b0;
+        linalg::trsm_lower_unit_blocked<T>(l.view(), x.view());
+        bench::keep(x.flat().data());
+      },
+      kKernelReps);
 
   TrsmResult result;
   result.kernel = sizeof(T) == sizeof(double) ? "dtrsm_lower_unit"
@@ -202,62 +180,18 @@ TrsmResult measure_trsm_lower(std::size_t n, std::size_t m) {
   return result;
 }
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
 
-bool write_json(const std::string& path, bool smoke,
-                const std::vector<GemmResult>& gemm,
-                const std::vector<TrsmResult>& trsm) {
-  const linalg::KernelConfig& cfg = linalg::active_kernel_config();
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-kernels/v2\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      << "  \"kernel_config\": {\"mc\": " << cfg.mc << ", \"kc\": " << cfg.kc
-      << ", \"nc\": " << cfg.nc << ", \"mr\": " << cfg.mr << ", \"nr\": "
-      << cfg.nr << ", \"trsm_block\": " << cfg.trsm_block << "},\n"
-      << "  \"results\": [\n";
-  bool first = true;
-  for (const GemmResult& r : gemm) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "    {\"kernel\": \""
-        << (std::strcmp(r.precision, "fp64") == 0 ? "dgemm" : "sgemm")
-        << "\", \"precision\": \"" << r.precision << "\", \"shape\": \""
-        << r.shape << "\", \"m\": " << r.m << ", \"n\": " << r.n
-        << ", \"k\": " << r.k
-        << ", \"gflops_naive\": " << fmt(r.gflops_naive)
-        << ", \"gflops_blocked\": " << fmt(r.gflops_blocked)
-        << ", \"speedup\": " << fmt(r.speedup())
-        << ", \"max_abs_diff\": " << fmt(r.max_abs_diff) << "}";
-  }
-  for (const TrsmResult& r : trsm) {
-    if (!first) out << ",\n";
-    first = false;
-    const double speedup =
-        r.gflops_naive > 0.0 ? r.gflops_blocked / r.gflops_naive : 0.0;
-    out << "    {\"kernel\": \"" << r.kernel << "\", \"precision\": \""
-        << r.precision << "\", \"shape\": \"square\""
-        << ", \"m\": " << r.n << ", \"n\": " << r.m << ", \"k\": " << r.n
-        << ", \"gflops_naive\": " << fmt(r.gflops_naive)
-        << ", \"gflops_blocked\": " << fmt(r.gflops_blocked)
-        << ", \"speedup\": " << fmt(speedup)
-        << ", \"max_abs_diff\": " << fmt(r.max_abs_diff) << "}";
-  }
-  out << "\n  ]\n}\n";
-  return static_cast<bool>(out.flush());
-}
+}  // namespace
 
-int run_harness(bool smoke, bool check, const std::string& out_path) {
+int main(int argc, char** argv) {
+  bench::Harness h("kernels", argc, argv);
+
   // Shapes mirror how the solvers drive GEMM: square (whole-problem),
   // panel-shaped (tall-skinny C, the L21 * U12 panel product) and KC-thin
   // trailing updates (rank-nb, the dgetrf hot loop).
   const std::vector<std::size_t> sizes =
-      smoke ? std::vector<std::size_t>{64, 128, 192}
-            : std::vector<std::size_t>{128, 256, 384, 512};
+      h.smoke() ? std::vector<std::size_t>{64, 128, 192}
+                : std::vector<std::size_t>{128, 256, 384, 512};
   const std::size_t nb = 64;
 
   std::vector<GemmResult> gemm;
@@ -302,218 +236,53 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
                 r.gflops_blocked, r.gflops_blocked / r.gflops_naive,
                 r.max_abs_diff);
   }
+  std::printf("\n");
 
-  if (!write_json(out_path, smoke, gemm, trsm)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
+  const linalg::KernelConfig& cfg = linalg::active_kernel_config();
+  for (const auto& [key, value] :
+       {std::pair{"mc", cfg.mc}, std::pair{"kc", cfg.kc},
+        std::pair{"nc", cfg.nc}, std::pair{"mr", cfg.mr},
+        std::pair{"nr", cfg.nr}, std::pair{"trsm_block", cfg.trsm_block}}) {
+    h.record(std::string("kernel_config.") + key,
+             static_cast<double>(value), "elements", bench::Clock::kNone);
   }
-  std::printf("\nwrote %s\n", out_path.c_str());
+  const auto record_row = [&h](const std::string& prefix, double naive,
+                               double blocked, double diff) {
+    h.record(prefix + ".gflops_naive", naive, "GFLOP/s",
+             bench::Clock::kHost);
+    h.record(prefix + ".gflops_blocked", blocked, "GFLOP/s",
+             bench::Clock::kHost);
+    h.record(prefix + ".speedup", naive > 0.0 ? blocked / naive : 0.0,
+             "ratio", bench::Clock::kHost);
+    h.record(prefix + ".max_abs_diff", diff, "abs", bench::Clock::kNone);
+  };
+  for (const GemmResult& r : gemm) {
+    record_row("gemm." + r.shape + "." + std::to_string(r.m) + "." +
+                   r.precision,
+               r.gflops_naive, r.gflops_blocked, r.max_abs_diff);
+  }
+  for (const TrsmResult& r : trsm) {
+    record_row("trsm.square." + std::to_string(r.n) + "." + r.precision,
+               r.gflops_naive, r.gflops_blocked, r.max_abs_diff);
+  }
 
+  h.gate("naive-blocked-agree", numerics_ok,
+         "naive vs blocked max|diff| must stay within the per-shape "
+         "budget");
+  char detail[128];
+  std::snprintf(detail, sizeof(detail),
+                "blocked dgemm %.3f GF/s vs naive %.3f GF/s at %zu^3",
+                largest_square->gflops_blocked, largest_square->gflops_naive,
+                largest_square->m);
+  h.gate("blocked>=naive",
+         largest_square->gflops_blocked >= largest_square->gflops_naive,
+         detail);
+  const int status = h.finish();
+  // A divergence is a bug, not a slow kernel: it fails with or without
+  // --check.
   if (!numerics_ok) {
     std::fprintf(stderr, "FAIL: naive/blocked results diverged\n");
     return 1;
   }
-  if (check && largest_square != nullptr &&
-      largest_square->gflops_blocked < largest_square->gflops_naive) {
-    std::fprintf(stderr,
-                 "FAIL: blocked dgemm (%.3f GF/s) slower than naive "
-                 "(%.3f GF/s) at %zu^3\n",
-                 largest_square->gflops_blocked, largest_square->gflops_naive,
-                 largest_square->m);
-    return 1;
-  }
-  return 0;
-}
-
-// ---- google-benchmark microbenchmarks (run with --gbench) ------------------
-
-void BM_Dgemm(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = linalg::generate_system_matrix(1, n);
-  const linalg::Matrix b = linalg::generate_system_matrix(2, n);
-  linalg::Matrix c(n, n);
-  for (auto _ : state) {
-    linalg::dgemm(1.0, a.view(), b.view(), 0.0, c.view());
-    benchmark::DoNotOptimize(c.flat().data());
-  }
-  state.counters["flops"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * n * n,
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_Dgemm)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_DgemmNaive(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = linalg::generate_system_matrix(1, n);
-  const linalg::Matrix b = linalg::generate_system_matrix(2, n);
-  linalg::Matrix c(n, n);
-  for (auto _ : state) {
-    linalg::dgemm_naive(1.0, a.view(), b.view(), 0.0, c.view());
-    benchmark::DoNotOptimize(c.flat().data());
-  }
-  state.counters["flops"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * n * n,
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_DgemmNaive)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_Sgemm(benchmark::State& state) {
-  // The fp32 engine the mixed-precision GEPP factorization runs on: same
-  // blocked path as dgemm with twice the SIMD lanes per vector register.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::BasicMatrix<float> a = random_matrix<float>(n, n, 11);
-  const linalg::BasicMatrix<float> b = random_matrix<float>(n, n, 12);
-  linalg::BasicMatrix<float> c(n, n);
-  for (auto _ : state) {
-    linalg::gemm<float>(1.0f, a.view(), b.view(), 0.0f, c.view());
-    benchmark::DoNotOptimize(c.flat().data());
-  }
-  state.counters["flops"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * n * n,
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_Sgemm)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_StrsmLowerUnit(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  linalg::BasicMatrix<float> l = random_matrix<float>(n, n, 13);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) l(i, j) /= static_cast<float>(n);
-    for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0f;
-    l(i, i) = 1.0f;
-  }
-  const linalg::BasicMatrix<float> b = random_matrix<float>(n, n, 14);
-  for (auto _ : state) {
-    linalg::BasicMatrix<float> x = b;
-    linalg::trsm_lower_unit<float>(l.view(), x.view());
-    benchmark::DoNotOptimize(x.flat().data());
-  }
-}
-BENCHMARK(BM_StrsmLowerUnit)->Arg(128)->Arg(256);
-
-void BM_TrsmLowerUnit(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  linalg::Matrix l = linalg::generate_system_matrix(3, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
-    l(i, i) = 1.0;
-  }
-  linalg::Matrix b = linalg::generate_system_matrix(4, n);
-  for (auto _ : state) {
-    linalg::Matrix x = b;
-    linalg::dtrsm_lower_unit(l.view(), x.view());
-    benchmark::DoNotOptimize(x.flat().data());
-  }
-}
-BENCHMARK(BM_TrsmLowerUnit)->Arg(128)->Arg(256);
-
-void BM_ImeLevelUpdate(benchmark::State& state) {
-  // One IMe level on an n x n table: the g-factor scaling plus the
-  // pivot-column subtraction over all equations.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  linalg::Matrix m = linalg::generate_system_matrix(5, n);
-  std::vector<double> c(n, 1.01);
-  const std::size_t l = n - 1;
-  for (auto _ : state) {
-    const double inv = 1.0 / m(l, l);
-    for (std::size_t j = 0; j < n - 1; ++j) {
-      const double g = m(l, j) * inv;
-      for (std::size_t r = 0; r <= l; ++r) m(r, j) -= g * c[r];
-    }
-    benchmark::DoNotOptimize(m.flat().data());
-  }
-  state.counters["flops"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * (n - 1),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_ImeLevelUpdate)->Arg(256)->Arg(512);
-
-void BM_SolveImeBlocked(benchmark::State& state) {
-  // The level-blocked variant: block size is the sweep parameter. Larger
-  // blocks trade rank-1 sweeps for rank-k updates (better cache reuse on
-  // tables that exceed cache).
-  const std::size_t n = 384;
-  const std::size_t kb = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = linalg::generate_system_matrix(8, n);
-  const std::vector<double> b = linalg::generate_rhs(8, n);
-  for (auto _ : state) {
-    auto x = solvers::solve_ime_blocked(a, b, kb);
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(BM_SolveImeBlocked)->Arg(1)->Arg(8)->Arg(32)->Arg(96);
-
-void BM_SolveGepp(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = linalg::generate_system_matrix(6, n);
-  const std::vector<double> b = linalg::generate_rhs(6, n);
-  for (auto _ : state) {
-    auto x = solvers::solve_gepp(a, b);
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(BM_SolveGepp)->Arg(128)->Arg(256);
-
-void BM_SolveIme(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = linalg::generate_system_matrix(6, n);
-  const std::vector<double> b = linalg::generate_rhs(6, n);
-  for (auto _ : state) {
-    auto x = solvers::solve_ime(a, b);
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(BM_SolveIme)->Arg(128)->Arg(256);
-
-void BM_GenerateSystem(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto a = linalg::generate_system_matrix(7, n);
-    benchmark::DoNotOptimize(a.flat().data());
-  }
-}
-BENCHMARK(BM_GenerateSystem)->Arg(256);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  bool gbench = false;
-  std::string out_path = "BENCH_kernels.json";
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strcmp(argv[i], "--gbench") == 0) {
-      gbench = true;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (gbench) {
-    int pass_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&pass_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(pass_argc,
-                                               passthrough.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
-  // Harness mode takes no positional arguments; reject typos instead of
-  // silently running a different sweep than the user asked for.
-  if (passthrough.size() > 1) {
-    std::fprintf(stderr,
-                 "error: unknown argument '%s' (expected --smoke --check "
-                 "--out=PATH --gbench)\n",
-                 passthrough[1]);
-    return 2;
-  }
-  return run_harness(smoke, check, out_path);
+  return status;
 }

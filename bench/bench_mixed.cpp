@@ -15,7 +15,7 @@
 //      refinement iterates to the same n*eps64-scaled tolerance).
 //   4. refine_iters / fell_back — the SLATE-style iteration count.
 //
-// Everything lands in BENCH_mixed.json (schema powerlin-bench-mixed/v1).
+// Everything lands in BENCH_mixed.json (bench/harness.hpp schema).
 //
 // The campaign point is 4 ranks on a 2-node mini cluster with nb=64: a
 // compute-bound shape where the precision of the trailing update matters.
@@ -24,22 +24,16 @@
 // washes out — that regime is measured, not hidden: bench_breakdown and
 // the campaign grid cover it.
 //
-// Flags:
-//   --smoke           CI sizes (n=512, 768) instead of the full n >= 1024
-//   --check           exit nonzero unless every size holds the residual
-//                     10x bound and the speedup floor (1.2x smoke, 1.5x
-//                     time + 1.4x energy full), and — when --baseline is
-//                     given — the worst residual ratio does not regress
-//                     >50% over the checked-in smoke baseline
-//   --out=PATH        JSON output path (default BENCH_mixed.json)
-//   --baseline=PATH   checked-in BENCH_mixed_smoke.json to regress against
+// Flags (bench/harness.hpp): --smoke for the CI sizes (n=512, 768) instead
+// of the full n >= 1024; --check exits nonzero unless every size holds the
+// residual 10x bound and the speedup floor (1.2x smoke, 1.5x time + 1.4x
+// energy full), and, with --baseline, the worst residual ratio does not
+// regress >50% over the checked-in smoke baseline.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "harness.hpp"
 
 #include "hwmodel/machine.hpp"
 #include "monitor/campaign.hpp"
@@ -101,94 +95,11 @@ SizeResult run_size(std::size_t n, int ranks) {
   return r;
 }
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-bool write_json(const std::string& path, bool smoke,
-                const std::vector<SizeResult>& results) {
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-mixed/v1\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      << "  \"sizes\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const SizeResult& r = results[i];
-    out << "    {\"n\": " << r.n << ", \"ranks\": " << r.ranks
-        << ", \"fp64_s\": " << fmt(r.fp64_s)
-        << ", \"mixed_s\": " << fmt(r.mixed_s)
-        << ", \"speedup\": " << fmt(r.speedup)
-        << ", \"fp64_j\": " << fmt(r.fp64_j)
-        << ", \"mixed_j\": " << fmt(r.mixed_j)
-        << ", \"energy_ratio\": " << fmt(r.energy_ratio)
-        << ", \"fp64_residual\": " << fmt(r.fp64_residual)
-        << ", \"mixed_residual\": " << fmt(r.mixed_residual)
-        << ", \"residual_ratio\": " << fmt(r.residual_ratio)
-        << ", \"refine_iters\": " << r.refine_iters
-        << ", \"fell_back\": " << (r.fell_back ? "true" : "false") << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  double worst_ratio = 0.0;
-  double min_speedup = 0.0;
-  double min_energy_ratio = 0.0;
-  for (const SizeResult& r : results) {
-    if (r.residual_ratio > worst_ratio) worst_ratio = r.residual_ratio;
-    if (min_speedup == 0.0 || r.speedup < min_speedup) {
-      min_speedup = r.speedup;
-    }
-    if (min_energy_ratio == 0.0 || r.energy_ratio < min_energy_ratio) {
-      min_energy_ratio = r.energy_ratio;
-    }
-  }
-  out << "  ],\n"
-      << "  \"min_speedup\": " << fmt(min_speedup) << ",\n"
-      << "  \"min_energy_ratio\": " << fmt(min_energy_ratio) << ",\n"
-      << "  \"worst_residual_ratio\": " << fmt(worst_ratio) << "\n"
-      << "}\n";
-  return static_cast<bool>(out.flush());
-}
-
-/// Pulls one flat "key": <number> field out of a previous report (same
-/// no-parser shortcut as bench_scale: we wrote the file ourselves).
-double baseline_field(const std::string& path, const std::string& name) {
-  std::ifstream in(path);
-  if (!in) return -1.0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"" + name + "\":";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  std::string out_path = "BENCH_mixed.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown argument '%s' (expected --smoke --check "
-                   "--out=PATH --baseline=PATH)\n",
-                   argv[i]);
-      return 2;
-    }
-  }
-
+  bench::Harness h("mixed", argc, argv);
+  const bool smoke = h.smoke();
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{512, 768}
             : std::vector<std::size_t>{1024, 1536, 2048};
@@ -209,71 +120,62 @@ int main(int argc, char** argv) {
     results.push_back(r);
   }
 
-  if (!write_json(out_path, smoke, results)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
+  double worst_ratio = 0.0;
+  double min_speedup = 0.0;
+  double min_energy_ratio = 0.0;
+  for (const SizeResult& r : results) {
+    if (r.residual_ratio > worst_ratio) worst_ratio = r.residual_ratio;
+    if (min_speedup == 0.0 || r.speedup < min_speedup) {
+      min_speedup = r.speedup;
+    }
+    if (min_energy_ratio == 0.0 || r.energy_ratio < min_energy_ratio) {
+      min_energy_ratio = r.energy_ratio;
+    }
   }
-  std::printf("wrote %s\n", out_path.c_str());
+  const double speedup_floor = smoke ? 1.2 : 1.5;
+  const double energy_floor = smoke ? 1.0 : 1.4;
+  for (const SizeResult& r : results) {
+    const std::string prefix = std::string("n") + std::to_string(r.n);
+    h.record(prefix + ".ranks", r.ranks, "count", bench::Clock::kNone);
+    h.record(prefix + ".fp64_s", r.fp64_s, "s", bench::Clock::kVirtual);
+    h.record(prefix + ".mixed_s", r.mixed_s, "s", bench::Clock::kVirtual);
+    h.record(prefix + ".speedup", r.speedup, "ratio", bench::Clock::kVirtual);
+    h.record(prefix + ".fp64_j", r.fp64_j, "J", bench::Clock::kModeled);
+    h.record(prefix + ".mixed_j", r.mixed_j, "J", bench::Clock::kModeled);
+    h.record(prefix + ".energy_ratio", r.energy_ratio, "ratio",
+             bench::Clock::kModeled);
+    h.record(prefix + ".fp64_residual", r.fp64_residual, "residual",
+             bench::Clock::kNone);
+    h.record(prefix + ".mixed_residual", r.mixed_residual, "residual",
+             bench::Clock::kNone);
+    h.record(prefix + ".residual_ratio", r.residual_ratio, "ratio",
+             bench::Clock::kNone);
+    h.record(prefix + ".refine_iters", r.refine_iters, "count",
+             bench::Clock::kNone);
+    h.record(prefix + ".fell_back", r.fell_back ? 1.0 : 0.0, "bool",
+             bench::Clock::kNone);
 
-  if (check) {
-    const double min_speedup = smoke ? 1.2 : 1.5;
-    const double min_energy_ratio = smoke ? 1.0 : 1.4;
-    bool ok = true;
-    for (const SizeResult& r : results) {
-      if (r.fell_back) {
-        std::fprintf(stderr, "FAIL: n=%zu fell back to fp64\n", r.n);
-        ok = false;
-      }
-      if (r.residual_ratio > 10.0) {
-        std::fprintf(stderr,
-                     "FAIL: n=%zu mixed residual %.3g is %.1fx the fp64 "
-                     "baseline (10x bound)\n",
-                     r.n, r.mixed_residual, r.residual_ratio);
-        ok = false;
-      }
-      if (r.speedup < min_speedup) {
-        std::fprintf(stderr,
-                     "FAIL: n=%zu speedup %.2fx below the %.1fx floor\n",
-                     r.n, r.speedup, min_speedup);
-        ok = false;
-      }
-      if (r.energy_ratio < min_energy_ratio) {
-        std::fprintf(stderr,
-                     "FAIL: n=%zu energy ratio %.2fx below the %.1fx "
-                     "floor\n",
-                     r.n, r.energy_ratio, min_energy_ratio);
-        ok = false;
-      }
-    }
-    if (!baseline_path.empty()) {
-      const double base_ratio =
-          baseline_field(baseline_path, "worst_residual_ratio");
-      if (base_ratio < 0.0) {
-        std::fprintf(stderr, "FAIL: no worst_residual_ratio in %s\n",
-                     baseline_path.c_str());
-        ok = false;
-      } else {
-        double worst = 0.0;
-        for (const SizeResult& r : results) {
-          if (r.residual_ratio > worst) worst = r.residual_ratio;
-        }
-        // Allow headroom for host rounding drift; a real accuracy
-        // regression (refinement converging to a worse defect) blows
-        // straight through 1.5x.
-        if (worst > 1.5 * base_ratio) {
-          std::fprintf(stderr,
-                       "FAIL: worst residual ratio %.3g regresses >50%% "
-                       "over the baseline %.3g\n",
-                       worst, base_ratio);
-          ok = false;
-        } else {
-          std::printf("check ok: worst residual ratio %.3g (baseline "
-                      "%.3g)\n",
-                      worst, base_ratio);
-        }
-      }
-    }
-    if (!ok) return 1;
+    char detail[128];
+    h.gate(prefix + "-no-fallback", !r.fell_back,
+           r.fell_back ? "fell back to fp64" : "refined in mixed precision");
+    std::snprintf(detail, sizeof(detail),
+                  "mixed residual %.3g is %.1fx the fp64 baseline (10x bound)",
+                  r.mixed_residual, r.residual_ratio);
+    h.gate(prefix + "-residual<=10x", r.residual_ratio <= 10.0, detail);
+    std::snprintf(detail, sizeof(detail), "speedup %.2fx vs the %.1fx floor",
+                  r.speedup, speedup_floor);
+    h.gate(prefix + "-speedup", r.speedup >= speedup_floor, detail);
+    std::snprintf(detail, sizeof(detail),
+                  "energy ratio %.2fx vs the %.1fx floor", r.energy_ratio,
+                  energy_floor);
+    h.gate(prefix + "-energy-ratio", r.energy_ratio >= energy_floor, detail);
   }
-  return 0;
+  h.record("min_speedup", min_speedup, "ratio", bench::Clock::kVirtual);
+  h.record("min_energy_ratio", min_energy_ratio, "ratio",
+           bench::Clock::kModeled);
+  // Headroom for host rounding drift; a real accuracy regression
+  // (refinement converging to a worse defect) blows straight through 1.5x.
+  h.record("worst_residual_ratio", worst_ratio, "ratio", bench::Clock::kNone,
+           bench::at_most(1.5));
+  return h.finish();
 }

@@ -15,17 +15,17 @@
 // the off and on runs (bit-for-bit), or if the on-run produced no trace
 // while tracing is compiled in.
 //
-// Flags:
-//   --smoke     smaller scales (CI smoke mode)
-//   --out=PATH  JSON output path (default BENCH_prof.json)
-//   --check     verify off-vs-on bit-identical simulated outputs
+// Flags (bench/harness.hpp): --smoke for smaller scales; --check as above.
+// Everything lands in BENCH_prof.json (bench/harness.hpp schema). When
+// compiled_in is 0 the binary was built -DPLIN_PROF=OFF and "off_s"
+// measures the fully compiled-out hooks; "on_s" then measures the runtime
+// toggle hitting empty stubs.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
+
+#include "harness.hpp"
 
 #include "hwmodel/placement.hpp"
 #include "prof/recorder.hpp"
@@ -57,26 +57,6 @@ void spawn_collective(xmpi::Comm& comm) {
   }
 }
 
-template <typename F>
-double seconds_of(F&& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  body();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Best-of-N wall-clock (one untimed warmup; fewer reps for slow cases).
-template <typename F>
-double best_seconds(F&& body) {
-  const double first = seconds_of(body);
-  int reps = 3;
-  if (first > 2.0) reps = 1;
-  if (first < 0.02) reps = 6;
-  double best = first;
-  for (int r = 0; r < reps; ++r) best = std::min(best, seconds_of(body));
-  return best;
-}
-
 struct ProbeResult {
   std::string workload;
   int ranks = 0;
@@ -102,14 +82,14 @@ ProbeResult measure(const char* name, int ranks, Body&& body) {
 
   xmpi::RunConfig config = base_config(ranks);
   config.trace = false;
-  result.off_s = best_seconds([&] {
+  result.off_s = bench::best_seconds([&] {
     const xmpi::RunResult run = xmpi::Runtime::run(config, body);
     result.off_duration = run.duration_s;
     result.off_energy = run.energy.total_j();
   });
 
   config.trace = true;
-  result.on_s = best_seconds([&] {
+  result.on_s = bench::best_seconds([&] {
     const xmpi::RunResult run = xmpi::Runtime::run(config, body);
     result.on_duration = run.duration_s;
     result.on_energy = run.energy.total_j();
@@ -118,37 +98,11 @@ ProbeResult measure(const char* name, int ranks, Body&& body) {
   return result;
 }
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
+}  // namespace
 
-bool write_json(const std::string& path, bool smoke,
-                const std::vector<ProbeResult>& results) {
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-prof/v1\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      << "  \"compiled_in\": " << (prof::kCompiledIn ? "true" : "false")
-      << ",\n"
-      // When compiled_in is false the binary was built -DPLIN_PROF=OFF and
-      // "off_s" measures the fully compiled-out hooks; "on_s" then measures
-      // the runtime toggle hitting empty stubs.
-      << "  \"results\": [\n";
-  bool first = true;
-  for (const ProbeResult& r : results) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "    {\"workload\": \"" << r.workload << "\", \"ranks\": "
-        << r.ranks << ", \"off_s\": " << fmt(r.off_s) << ", \"on_s\": "
-        << fmt(r.on_s) << ", \"overhead\": " << fmt(r.overhead()) << "}";
-  }
-  out << "\n  ]\n}\n";
-  return static_cast<bool>(out.flush());
-}
-
-int run_harness(bool smoke, bool check, const std::string& out_path) {
+int main(int argc, char** argv) {
+  bench::Harness h("prof", argc, argv);
+  const bool smoke = h.smoke();
   const int collective_ranks = smoke ? 144 : 576;
   const std::size_t gepp_n = smoke ? 576 : 1728;
   const int gepp_ranks = smoke ? 16 : 64;
@@ -172,54 +126,30 @@ int run_harness(bool smoke, bool check, const std::string& out_path) {
     std::printf("%-18s %6d | %12.6f %12.6f %8.2f%%\n", r.workload.c_str(),
                 r.ranks, r.off_s, r.on_s, 100.0 * r.overhead());
   }
+  std::printf("\n");
 
-  if (!write_json(out_path, smoke, results)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (check) {
-    for (const ProbeResult& r : results) {
-      if (r.off_duration != r.on_duration || r.off_energy != r.on_energy) {
-        std::fprintf(stderr,
-                     "FAIL: %s simulated outputs differ with tracing on "
-                     "(duration %.17g vs %.17g, energy %.17g vs %.17g)\n",
-                     r.workload.c_str(), r.off_duration, r.on_duration,
-                     r.off_energy, r.on_energy);
-        return 1;
-      }
-      if (prof::kCompiledIn && !r.trace_present) {
-        std::fprintf(stderr, "FAIL: %s traced run produced no trace\n",
-                     r.workload.c_str());
-        return 1;
-      }
-    }
-    std::printf("check passed: off-vs-on simulated outputs bit-identical\n");
-  }
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  std::string out_path = "BENCH_prof.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown argument '%s' (expected --smoke --check "
-                   "--out=PATH)\n",
-                   argv[i]);
-      return 2;
+  h.record("compiled_in", prof::kCompiledIn ? 1.0 : 0.0, "bool",
+           bench::Clock::kNone);
+  for (const ProbeResult& r : results) {
+    const std::string prefix = r.workload + "." + std::to_string(r.ranks);
+    h.record(prefix + ".off_s", r.off_s, "s", bench::Clock::kHost);
+    h.record(prefix + ".on_s", r.on_s, "s", bench::Clock::kHost);
+    h.record(prefix + ".overhead", r.overhead(), "ratio", bench::Clock::kHost);
+    h.record(prefix + ".off_duration_s", r.off_duration, "s",
+             bench::Clock::kVirtual);
+    h.record(prefix + ".on_duration_s", r.on_duration, "s",
+             bench::Clock::kVirtual);
+    h.record(prefix + ".off_energy_j", r.off_energy, "J",
+             bench::Clock::kModeled);
+    h.record(prefix + ".on_energy_j", r.on_energy, "J",
+             bench::Clock::kModeled);
+    h.gate(r.workload + "-off-on-identical",
+           r.off_duration == r.on_duration && r.off_energy == r.on_energy,
+           "off/on simulated duration and energy must be bit-identical");
+    if (prof::kCompiledIn) {
+      h.gate(r.workload + "-trace-present", r.trace_present,
+             "the traced run must produce a trace");
     }
   }
-  return run_harness(smoke, check, out_path);
+  return h.finish();
 }

@@ -19,28 +19,22 @@
 // Peak RSS of phases 3/4 is sampled by bench/rss.hpp; the sparse peer-map
 // aggregates (RunResult::peer_entries_max) and process-wide StackPool
 // counters round out the report. Everything lands in BENCH_scale.json
-// (schema powerlin-bench-scale/v1).
+// (bench/harness.hpp schema).
 //
-// Flags:
-//   --smoke           10000 ranks instead of 100000
-//   --ranks=N         explicit rank count (overrides --smoke / default)
-//   --out=PATH        JSON output path (default BENCH_scale.json)
-//   --check           exit nonzero unless bytes_per_rank_state <= 4096 and,
-//                     when --baseline is given, <= 1.2x the baseline value
-//   --baseline=PATH   checked-in BENCH_scale.json to regress against
+// Flags (bench/harness.hpp): --smoke for 10000 ranks instead of 100000;
+// --ranks=N for an explicit rank count (overrides --smoke / default);
+// --check exits nonzero unless bytes_per_rank_state <= 4096 and, with
+// --baseline, <= 1.2x the baseline value. Wrong collective results fail the
+// run with or without --check.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <memory>
-#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "harness.hpp"
 #include "rss.hpp"
 
 #include "hwmodel/placement.hpp"
@@ -68,17 +62,8 @@ xmpi::RunConfig scale_config(int ranks) {
   return config;
 }
 
-template <typename F>
-double seconds_of(F&& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  body();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
 struct Report {
   int ranks = 0;
-  bool smoke = false;
   std::uint64_t rank_state_total_bytes = 0;
   double bytes_per_rank_state = 0.0;
   double spawn_s = 0.0;
@@ -159,92 +144,14 @@ void allgather_body(xmpi::Comm& comm, std::atomic<int>& failures) {
   if (!ok) failures.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-bool write_json(const std::string& path, const Report& r) {
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-scale/v1\",\n"
-      << "  \"mode\": \"" << (r.smoke ? "smoke" : "full") << "\",\n"
-      << "  \"ranks\": " << r.ranks << ",\n"
-      << "  \"rank_state_total_bytes\": " << r.rank_state_total_bytes
-      << ",\n"
-      << "  \"bytes_per_rank_state\": " << fmt(r.bytes_per_rank_state)
-      << ",\n"
-      << "  \"spawn_s\": " << fmt(r.spawn_s) << ",\n"
-      << "  \"spawn_ranks_per_s\": " << fmt(r.spawn_ranks_per_s) << ",\n"
-      << "  \"allreduce_s\": " << fmt(r.allreduce_s) << ",\n"
-      << "  \"allreduce_peak_rss_bytes\": " << r.allreduce_peak_rss_bytes
-      << ",\n"
-      << "  \"allgather_s\": " << fmt(r.allgather_s) << ",\n"
-      << "  \"allgather_peak_rss_bytes\": " << r.allgather_peak_rss_bytes
-      << ",\n"
-      << "  \"peer_entries_max\": " << r.peer_entries_max << ",\n"
-      << "  \"peer_entries_total\": " << r.peer_entries_total << ",\n"
-      << "  \"stackpool\": {\"slabs\": " << r.stacks.slabs
-      << ", \"mapped_bytes\": " << r.stacks.mapped_bytes
-      << ", \"served\": " << r.stacks.served
-      << ", \"reuse_hits\": " << r.stacks.reuse_hits
-      << ", \"peak_live\": " << r.stacks.peak_live << "}\n"
-      << "}\n";
-  return static_cast<bool>(out.flush());
-}
-
-/// Pulls "bytes_per_rank_state": <number> out of a previous report. A
-/// full JSON parser would be overkill for one flat field we wrote
-/// ourselves; returns a negative value when the file or field is missing.
-double baseline_bytes_per_rank(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return -1.0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"bytes_per_rank_state\":";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  int ranks_override = 0;
-  std::string out_path = "BENCH_scale.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--ranks=", 8) == 0) {
-      ranks_override = std::atoi(argv[i] + 8);
-      if (ranks_override < 2) {
-        std::fprintf(stderr, "error: --ranks must be >= 2\n");
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown argument '%s' (expected --smoke "
-                   "--ranks=N --check --out=PATH --baseline=PATH)\n",
-                   argv[i]);
-      return 2;
-    }
-  }
-
+  bench::Harness h("scale", argc, argv, {"ranks"});
+  const bool smoke = h.smoke();
   Report report;
-  report.smoke = smoke;
-  report.ranks = ranks_override != 0 ? ranks_override : (smoke ? 10000
-                                                               : 100000);
+  report.ranks =
+      static_cast<int>(h.int_flag("ranks", smoke ? 10000 : 100000, 2));
   const int ranks = report.ranks;
   std::printf("bench_scale: %d ranks (%s)\n", ranks,
               smoke ? "smoke" : "full");
@@ -264,7 +171,7 @@ int main(int argc, char** argv) {
 
   // Phase 2: spawn throughput (empty bodies — stack lease + context setup
   // + dispatch + recycle per rank).
-  report.spawn_s = seconds_of([&] {
+  report.spawn_s = bench::seconds([&] {
     (void)xmpi::Runtime::run(config, [](xmpi::Comm&) {});
   });
   report.spawn_ranks_per_s = ranks / report.spawn_s;
@@ -276,7 +183,7 @@ int main(int argc, char** argv) {
   {
     bench::RssSampler sampler;
     xmpi::RunResult run;
-    report.allreduce_s = seconds_of([&] {
+    report.allreduce_s = bench::seconds([&] {
       run = xmpi::Runtime::run(config, [&failures](xmpi::Comm& comm) {
         allreduce_body(comm, failures);
       });
@@ -296,7 +203,7 @@ int main(int argc, char** argv) {
   {
     bench::RssSampler sampler;
     xmpi::RunResult run;
-    report.allgather_s = seconds_of([&] {
+    report.allgather_s = bench::seconds([&] {
       run = xmpi::Runtime::run(config, [&failures](xmpi::Comm& comm) {
         allgather_body(comm, failures);
       });
@@ -329,37 +236,43 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!write_json(out_path, report)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
+  h.record("ranks", ranks, "count", bench::Clock::kNone);
+  h.record("rank_state_total_bytes",
+           static_cast<double>(report.rank_state_total_bytes), "bytes",
+           bench::Clock::kNone);
+  h.record("bytes_per_rank_state", report.bytes_per_rank_state, "bytes",
+           bench::Clock::kNone, bench::at_most(1.2));
+  h.record("spawn_s", report.spawn_s, "s", bench::Clock::kHost);
+  h.record("spawn_ranks_per_s", report.spawn_ranks_per_s, "1/s",
+           bench::Clock::kHost);
+  h.record("allreduce_s", report.allreduce_s, "s", bench::Clock::kHost);
+  h.record("allreduce_peak_rss_bytes",
+           static_cast<double>(report.allreduce_peak_rss_bytes), "bytes",
+           bench::Clock::kNone);
+  h.record("allgather_s", report.allgather_s, "s", bench::Clock::kHost);
+  h.record("allgather_peak_rss_bytes",
+           static_cast<double>(report.allgather_peak_rss_bytes), "bytes",
+           bench::Clock::kNone);
+  h.record("peer_entries_max", static_cast<double>(report.peer_entries_max),
+           "count", bench::Clock::kNone);
+  h.record("peer_entries_total",
+           static_cast<double>(report.peer_entries_total), "count",
+           bench::Clock::kNone);
+  for (const auto& [key, value, unit] :
+       {std::tuple{"slabs", report.stacks.slabs, "count"},
+        std::tuple{"mapped_bytes", report.stacks.mapped_bytes, "bytes"},
+        std::tuple{"served", report.stacks.served, "count"},
+        std::tuple{"reuse_hits", report.stacks.reuse_hits, "count"},
+        std::tuple{"peak_live", report.stacks.peak_live, "count"}}) {
+    h.record(std::string("stackpool.") + key, static_cast<double>(value),
+             unit, bench::Clock::kNone);
   }
-  std::printf("wrote %s\n", out_path.c_str());
 
-  if (check) {
-    constexpr double kMaxBytesPerRank = 4096.0;
-    if (report.bytes_per_rank_state > kMaxBytesPerRank) {
-      std::fprintf(stderr,
-                   "FAIL: %.1f bytes/rank exceeds the %.0f-byte budget\n",
-                   report.bytes_per_rank_state, kMaxBytesPerRank);
-      return 1;
-    }
-    if (!baseline_path.empty()) {
-      const double baseline = baseline_bytes_per_rank(baseline_path);
-      if (baseline <= 0.0) {
-        std::fprintf(stderr, "FAIL: no bytes_per_rank_state in %s\n",
-                     baseline_path.c_str());
-        return 1;
-      }
-      if (report.bytes_per_rank_state > 1.2 * baseline) {
-        std::fprintf(stderr,
-                     "FAIL: %.1f bytes/rank regresses >20%% over the "
-                     "baseline %.1f\n",
-                     report.bytes_per_rank_state, baseline);
-        return 1;
-      }
-      std::printf("check ok: %.1f bytes/rank (baseline %.1f)\n",
-                  report.bytes_per_rank_state, baseline);
-    }
-  }
-  return 0;
+  constexpr double kMaxBytesPerRank = 4096.0;
+  char detail[96];
+  std::snprintf(detail, sizeof(detail), "%.1f bytes/rank vs the %.0f-byte "
+                "budget", report.bytes_per_rank_state, kMaxBytesPerRank);
+  h.gate("bytes-per-rank<=4096",
+         report.bytes_per_rank_state <= kMaxBytesPerRank, detail);
+  return h.finish();
 }

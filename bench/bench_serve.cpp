@@ -13,29 +13,24 @@
 //                        set, ~20% are unique cold specs, spread across
 //                        three tenants with 4:2:1 fair-share weights.
 //
-// Prints a wall-clock table and writes machine-readable `BENCH_serve.json`
-// (p50/p99 latency, jobs/sec, cache-hit ratio, full server counters).
+// Prints a wall-clock table and writes `BENCH_serve.json` (bench/harness.hpp
+// schema: p50/p99 latency, jobs/sec, cache-hit ratio, full server counters
+// as server.* records).
 //
-// Flags:
-//   --smoke           fewer requests per client (CI smoke mode)
-//   --clients=N       concurrent clients in phase 3 (default 1000)
-//   --requests=N      requests per client (default 16; smoke 4)
-//   --workers=N       engine worker threads (default 4)
-//   --out=PATH        JSON output path (default BENCH_serve.json)
-//   --check           exit nonzero unless every request succeeded, nothing
-//                     was rejected, the cached-resubmit p50 is >= 5x
-//                     faster than the cold p50, and (with --baseline) the
-//                     deterministic request counts and client-side hit
-//                     ratio match the checked-in baseline
-//   --baseline=PATH   checked-in BENCH_serve JSON to regress against
+// Flags (bench/harness.hpp): --smoke for fewer requests per client;
+// --clients=N concurrent clients in phase 3 (default 1000); --requests=N
+// requests per client (default 16; smoke 4); --workers=N engine worker
+// threads (default 4); --check exits nonzero unless every request
+// succeeded, nothing was rejected, the cached-resubmit p50 is >= 5x faster
+// than the cold p50, and (with --baseline) the deterministic request count
+// and client-side hit ratio match the checked-in baseline.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -45,11 +40,12 @@
 #include <thread>
 #include <vector>
 
+#include "harness.hpp"
+
 #include "batch/store.hpp"
 #include "serve/client.hpp"
 #include "serve/engine.hpp"
 #include "serve/server.hpp"
-#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/stopwatch.hpp"
@@ -139,27 +135,36 @@ struct LoadResult {
 
 const char* kTenants[3] = {"interactive", "batch", "background"};
 
+/// Records every number and flag of the server's stats object as a
+/// server.<path> record.
+void record_stats(bench::Harness& h, const std::string& prefix,
+                  const json::Value& value) {
+  if (value.kind() == json::Kind::kObject) {
+    for (const auto& [key, member] : value.as_object()) {
+      record_stats(h, prefix + "." + key, member);
+    }
+  } else if (value.kind() == json::Kind::kBool) {
+    h.record(prefix, value.as_bool() ? 1.0 : 0.0, "bool",
+             bench::Clock::kNone);
+  } else if (value.kind() == json::Kind::kNumber) {
+    const bool ratio = prefix.ends_with("hit_ratio");
+    const bool weight = prefix.ends_with(".weight");
+    h.record(prefix, value.as_number(),
+             ratio ? "ratio" : (weight ? "weight" : "count"),
+             bench::Clock::kNone);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  bench::Harness h("serve", argc, argv, {"clients", "requests", "workers"});
+  const bool smoke = h.smoke();
+  const int clients = static_cast<int>(h.int_flag("clients", 1000, 1));
+  const int requests_per_client =
+      static_cast<int>(h.int_flag("requests", smoke ? 4 : 16, 1));
+  const int workers = static_cast<int>(h.int_flag("workers", 4, 1));
   try {
-    args.require_known({"smoke", "check", "out", "baseline", "clients",
-                        "requests", "workers", "help"});
-    if (args.get_bool("help", false)) {
-      std::cout << "bench_serve [--smoke] [--check] [--clients=N] "
-                   "[--requests=N] [--workers=N] [--out=PATH] "
-                   "[--baseline=PATH]\n";
-      return 0;
-    }
-    const bool smoke = args.get_bool("smoke", false);
-    const bool check = args.get_bool("check", false);
-    const std::string out_path = args.get("out", "BENCH_serve.json");
-    const std::string baseline_path = args.get("baseline", "");
-    const int clients = static_cast<int>(args.get_int("clients", 1000));
-    const int requests_per_client =
-        static_cast<int>(args.get_int("requests", smoke ? 4 : 16));
-    const int workers = static_cast<int>(args.get_int("workers", 4));
     constexpr int kHotSpecs = 16;
     constexpr int kColdSpecs = 32;
 
@@ -337,61 +342,41 @@ int main(int argc, char** argv) {
               << ", store hit ratio " << store_hit_ratio << ", errors "
               << errors << ", wall " << format_duration(load_s) << "\n";
 
-    json::Value load = json::make_object();
-    load.set("wall_s", load_s);
-    load.set("requests", static_cast<double>(load_requests));
-    load.set("hot_requests", static_cast<double>(hot_requests));
-    load.set("unique_requests", static_cast<double>(unique_requests));
-    load.set("p50_ms", load_p50 * 1e3);
-    load.set("p99_ms", load_p99 * 1e3);
-    load.set("jobs_per_s", jobs_per_s);
-    load.set("client_hit_ratio", client_hit_ratio);
+    h.record("clients", clients, "count", bench::Clock::kNone);
+    h.record("requests_per_client", requests_per_client, "count",
+             bench::Clock::kNone);
+    h.record("workers", workers, "count", bench::Clock::kNone);
+    h.record("errors", static_cast<double>(errors), "count",
+             bench::Clock::kNone);
+    h.record("cold_p50_ms", cold_p50 * 1e3, "ms", bench::Clock::kHost);
+    h.record("cached_p50_ms", hot_p50 * 1e3, "ms", bench::Clock::kHost);
+    h.record("cache_speedup", cache_speedup, "ratio", bench::Clock::kHost);
+    h.record("load.wall_s", load_s, "s", bench::Clock::kHost);
+    // The request mix is seeded, so the request count and the hit ratio are
+    // exactly reproducible (latency numbers are not, and are not baselined).
+    h.record("load.requests", static_cast<double>(load_requests), "count",
+             bench::Clock::kNone, bench::exact());
+    h.record("load.hot_requests", static_cast<double>(hot_requests), "count",
+             bench::Clock::kNone);
+    h.record("load.unique_requests", static_cast<double>(unique_requests),
+             "count", bench::Clock::kNone);
+    h.record("load.p50_ms", load_p50 * 1e3, "ms", bench::Clock::kHost);
+    h.record("load.p99_ms", load_p99 * 1e3, "ms", bench::Clock::kHost);
+    h.record("load.jobs_per_s", jobs_per_s, "1/s", bench::Clock::kHost);
+    h.record("load.client_hit_ratio", client_hit_ratio, "ratio",
+             bench::Clock::kNone, bench::rel(1e-12));
+    record_stats(h, "server", server_stats);
 
-    json::Value root = json::make_object();
-    root.set("schema", "powerlin-bench-serve/v1");
-    root.set("mode", smoke ? "smoke" : "full");
-    root.set("clients", static_cast<double>(clients));
-    root.set("requests_per_client", static_cast<double>(requests_per_client));
-    root.set("workers", static_cast<double>(workers));
-    root.set("errors", static_cast<double>(errors));
-    root.set("cold_p50_ms", cold_p50 * 1e3);
-    root.set("cached_p50_ms", hot_p50 * 1e3);
-    root.set("cache_speedup", cache_speedup);
-    root.set("load", std::move(load));
-    root.set("server", std::move(server_stats));
-    {
-      std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-      out << json::serialize(root) << "\n";
-    }
-    std::cout << "wrote " << out_path << "\n";
-
-    if (!check) return 0;
-    bool pass = true;
-    auto gate = [&pass](const std::string& name, bool ok) {
-      std::cout << "check: " << name << "=" << (ok ? "pass" : "FAIL")
-                << "\n";
-      pass = pass && ok;
-    };
-    gate("no-errors", errors == 0);
-    gate("no-rejections", rejected == 0.0);
-    gate("clients>=1000", clients >= 1000);
-    gate("cache-speedup>=5x", cache_speedup >= 5.0);
-    if (!baseline_path.empty()) {
-      std::ifstream in(baseline_path, std::ios::binary);
-      std::ostringstream text;
-      text << in.rdbuf();
-      const json::Value baseline = json::parse(text.str());
-      const json::Value& base_load = baseline.at("load");
-      // The request mix is seeded, so these two are exactly reproducible
-      // (latency numbers are not, and are deliberately not gated).
-      gate("baseline-request-count",
-           base_load.at("requests").as_number() ==
-               static_cast<double>(load_requests));
-      gate("baseline-hit-ratio",
-           std::abs(base_load.at("client_hit_ratio").as_number() -
-                    client_hit_ratio) < 1e-12);
-    }
-    return pass ? 0 : 1;
+    h.gate("no-errors", errors == 0, std::to_string(errors) + " errors");
+    h.gate("no-rejections", rejected == 0.0,
+           std::to_string(static_cast<long>(rejected)) + " rejected");
+    h.gate("clients>=1000", clients >= 1000,
+           std::to_string(clients) + " clients");
+    char speedup[64];
+    std::snprintf(speedup, sizeof(speedup), "cold p50 / cached p50 = %.1fx",
+                  cache_speedup);
+    h.gate("cache-speedup>=5x", cache_speedup >= 5.0, speedup);
+    return h.finish();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -15,7 +15,7 @@
 //
 // Per family (stencil5 + banded) it also records duration, energy, CG
 // iterations, nnz and the scaled residual of the converged solve.
-// Everything lands in BENCH_sparse.json (schema powerlin-bench-sparse/v1).
+// Everything lands in BENCH_sparse.json (bench/harness.hpp schema).
 //
 // Sizes: CG iterates in O(sqrt(kappa)) sweeps of O(n) traffic, so the runs
 // are far shorter than a dense factorization at the same n — and the RAPL
@@ -24,23 +24,17 @@
 // duration sits well past that quantum (n=64Ki smoke, ~3 ms; n=256Ki full,
 // ~12 ms at 8 ranks); sub-millisecond CG jobs legitimately read ~0 J.
 //
-// Flags:
-//   --smoke           CI sizes (n=64Ki) instead of the full n=256Ki
-//   --check           exit nonzero unless the runs are bit-identical, the
-//                     dominance ratio is >= 1, every residual passes the
-//                     campaign gate (1e-10), and — when --baseline is given
-//                     — iteration counts and durations match the checked-in
-//                     smoke baseline (both are fully deterministic)
-//   --out=PATH        JSON output path (default BENCH_sparse.json)
-//   --baseline=PATH   checked-in BENCH_sparse_smoke.json to compare against
-#include <cmath>
+// Flags (bench/harness.hpp): --smoke for the CI size (n=64Ki) instead of
+// the full n=256Ki; --check exits nonzero unless the runs are
+// bit-identical, the dominance ratio is >= 1, every residual passes the
+// campaign gate (1e-10), and, with --baseline, iteration counts and
+// durations match the checked-in smoke baseline (both are fully
+// deterministic: iterations exact, durations to 1e-5 relative).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "harness.hpp"
 
 #include "hwmodel/machine.hpp"
 #include "hwmodel/placement.hpp"
@@ -167,76 +161,11 @@ bool check_determinism(std::size_t n, int ranks, std::string* detail) {
   return true;
 }
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-bool write_json(const std::string& path, bool smoke,
-                const std::vector<FamilyResult>& results,
-                double bytes_per_flop, double dominance_ratio,
-                bool bit_identical) {
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"powerlin-bench-sparse/v1\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
-  for (const FamilyResult& r : results) {
-    const std::string k = sparse::kind_token(r.kind);
-    out << "  \"" << k << "_n\": " << r.n << ",\n"
-        << "  \"" << k << "_ranks\": " << r.ranks << ",\n"
-        << "  \"" << k << "_s\": " << fmt(r.duration_s) << ",\n"
-        << "  \"" << k << "_j\": " << fmt(r.energy_j) << ",\n"
-        << "  \"" << k << "_residual\": " << fmt(r.residual) << ",\n"
-        << "  \"" << k << "_iters\": " << r.iters << ",\n"
-        << "  \"" << k << "_nnz\": " << r.nnz << ",\n";
-  }
-  out << "  \"bytes_per_flop\": " << fmt(bytes_per_flop) << ",\n"
-      << "  \"dominance_ratio\": " << fmt(dominance_ratio) << ",\n"
-      << "  \"bit_identical\": " << (bit_identical ? "true" : "false")
-      << "\n}\n";
-  return static_cast<bool>(out.flush());
-}
-
-/// Pulls one flat "key": <number> field out of a previous report (same
-/// no-parser shortcut as bench_mixed: we wrote the file ourselves).
-double baseline_field(const std::string& path, const std::string& name) {
-  std::ifstream in(path);
-  if (!in) return -1.0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"" + name + "\":";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  std::string out_path = "BENCH_sparse.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown argument '%s' (expected --smoke --check "
-                   "--out=PATH --baseline=PATH)\n",
-                   argv[i]);
-      return 2;
-    }
-  }
-
+  bench::Harness h("sparse", argc, argv);
+  const bool smoke = h.smoke();
   const std::size_t n = smoke ? 65536 : 262144;
   constexpr int kRanks = 8;
   std::printf("bench_sparse: CG on CSR, %d ranks, n=%zu (%s)\n", kRanks, n,
@@ -270,69 +199,36 @@ int main(int argc, char** argv) {
   std::printf("  SpMV %.2f bytes/flop, DRAM/flop time ratio %.2f\n",
               bytes_per_flop, dominance_ratio);
 
-  std::string detail;
+  std::string detail = "bit-identical across workers / collectives";
   const bool bit_identical = check_determinism(256, kRanks, &detail);
-  std::printf("  determinism: %s\n",
-              bit_identical ? "bit-identical across workers / collectives"
-                            : detail.c_str());
+  std::printf("  determinism: %s\n", detail.c_str());
 
-  if (!write_json(out_path, smoke, results, bytes_per_flop, dominance_ratio,
-                  bit_identical)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
+  char text[128];
+  for (const FamilyResult& r : results) {
+    const std::string k = sparse::kind_token(r.kind);
+    h.record(k + "_n", static_cast<double>(r.n), "count", bench::Clock::kNone);
+    h.record(k + "_ranks", r.ranks, "count", bench::Clock::kNone);
+    h.record(k + "_s", r.duration_s, "s", bench::Clock::kVirtual,
+             bench::rel(1e-5));
+    h.record(k + "_j", r.energy_j, "J", bench::Clock::kModeled);
+    h.record(k + "_residual", r.residual, "residual", bench::Clock::kNone);
+    h.record(k + "_iters", r.iters, "count", bench::Clock::kNone,
+             bench::exact());
+    h.record(k + "_nnz", static_cast<double>(r.nnz), "count",
+             bench::Clock::kNone);
+    std::snprintf(text, sizeof(text),
+                  "%s residual %.3g vs the campaign gate 1e-10", k.c_str(),
+                  r.residual);
+    h.gate(k + "-residual<=1e-10", r.residual <= 1e-10, text);
   }
-  std::printf("wrote %s\n", out_path.c_str());
-
-  if (check) {
-    bool ok = true;
-    if (!bit_identical) {
-      std::fprintf(stderr, "FAIL: %s\n", detail.c_str());
-      ok = false;
-    }
-    if (dominance_ratio < 1.0) {
-      std::fprintf(stderr,
-                   "FAIL: SpMV flop term dominates (ratio %.2f < 1): the "
-                   "family is not memory-bound\n",
-                   dominance_ratio);
-      ok = false;
-    }
-    for (const FamilyResult& r : results) {
-      if (r.residual > 1e-10) {
-        std::fprintf(stderr, "FAIL: %s residual %.3g above the campaign "
-                             "gate 1e-10\n",
-                     sparse::kind_token(r.kind), r.residual);
-        ok = false;
-      }
-    }
-    if (!baseline_path.empty()) {
-      for (const FamilyResult& r : results) {
-        const std::string k = sparse::kind_token(r.kind);
-        const double base_iters = baseline_field(baseline_path, k + "_iters");
-        const double base_s = baseline_field(baseline_path, k + "_s");
-        if (base_iters < 0.0 || base_s < 0.0) {
-          std::fprintf(stderr, "FAIL: no %s fields in %s\n", k.c_str(),
-                       baseline_path.c_str());
-          ok = false;
-          continue;
-        }
-        // Both are deterministic: iterations exact, duration to the %.6g
-        // precision the baseline file stores.
-        if (static_cast<int>(base_iters) != r.iters) {
-          std::fprintf(stderr,
-                       "FAIL: %s iterations %d != baseline %d\n", k.c_str(),
-                       r.iters, static_cast<int>(base_iters));
-          ok = false;
-        }
-        if (std::fabs(r.duration_s - base_s) > 1e-5 * base_s) {
-          std::fprintf(stderr,
-                       "FAIL: %s duration %.6g s != baseline %.6g s\n",
-                       k.c_str(), r.duration_s, base_s);
-          ok = false;
-        }
-      }
-      if (ok) std::printf("check ok: matches %s\n", baseline_path.c_str());
-    }
-    if (!ok) return 1;
-  }
-  return 0;
+  h.record("bytes_per_flop", bytes_per_flop, "ratio", bench::Clock::kNone);
+  h.record("dominance_ratio", dominance_ratio, "ratio", bench::Clock::kNone);
+  h.record("bit_identical", bit_identical ? 1.0 : 0.0, "bool",
+           bench::Clock::kNone);
+  h.gate("bit-identical", bit_identical, detail);
+  std::snprintf(text, sizeof(text),
+                "SpMV DRAM/flop time ratio %.2f (>= 1 when memory-bound)",
+                dominance_ratio);
+  h.gate("memory-bound", dominance_ratio >= 1.0, text);
+  return h.finish();
 }

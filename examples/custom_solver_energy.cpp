@@ -17,6 +17,7 @@
 #include "solvers/ime/imep.hpp"
 #include "solvers/jacobi/jacobi.hpp"
 #include "support/cli.hpp"
+#include "support/error.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
 #include "xmpi/runtime.hpp"
@@ -24,6 +25,12 @@
 int main(int argc, char** argv) {
   using namespace plin;
   const CliArgs args(argc, argv);
+  try {
+    args.require_known({"n", "ranks"});
+  } catch (const Error& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
   const std::size_t n = static_cast<std::size_t>(args.get_int("n", 512));
   const int ranks = static_cast<int>(args.get_int("ranks", 16));
   const std::uint64_t seed = 61;

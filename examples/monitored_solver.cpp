@@ -11,6 +11,7 @@
 #include "monitor/monitoring.hpp"
 #include "solvers/gepp/pdgesv.hpp"
 #include "support/cli.hpp"
+#include "support/error.hpp"
 #include "support/logging.hpp"
 #include "support/units.hpp"
 #include "xmpi/runtime.hpp"
@@ -18,6 +19,12 @@
 int main(int argc, char** argv) {
   using namespace plin;
   const CliArgs args(argc, argv);
+  try {
+    args.require_known({"n", "ranks", "out"});
+  } catch (const Error& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
   const std::size_t n = static_cast<std::size_t>(args.get_int("n", 448));
   const int ranks = static_cast<int>(args.get_int("ranks", 16));
   const std::string out_dir = args.get("out", "monitor_out");

@@ -14,6 +14,7 @@
 #include "solvers/gepp/pdgesv.hpp"
 #include "solvers/ime/imep.hpp"
 #include "support/cli.hpp"
+#include "support/error.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
 #include "xmpi/runtime.hpp"
@@ -35,6 +36,12 @@ std::vector<double> parse_caps(const std::string& text) {
 int main(int argc, char** argv) {
   using namespace plin;
   const CliArgs args(argc, argv);
+  try {
+    args.require_known({"n", "ranks", "caps"});
+  } catch (const Error& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
   const std::size_t n = static_cast<std::size_t>(args.get_int("n", 512));
   const int ranks = static_cast<int>(args.get_int("ranks", 8));
   const std::vector<double> caps = parse_caps(args.get("caps", "52,48,44,40"));

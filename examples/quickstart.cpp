@@ -11,6 +11,7 @@
 #include "solvers/gepp/pdgesv.hpp"
 #include "solvers/ime/imep.hpp"
 #include "support/cli.hpp"
+#include "support/error.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
 #include "xmpi/runtime.hpp"
@@ -18,6 +19,12 @@
 int main(int argc, char** argv) {
   using namespace plin;
   const CliArgs args(argc, argv);
+  try {
+    args.require_known({"n", "ranks", "seed"});
+  } catch (const Error& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
   const std::size_t n = static_cast<std::size_t>(args.get_int("n", 384));
   const int ranks = static_cast<int>(args.get_int("ranks", 8));
   const std::uint64_t seed =

@@ -39,24 +39,31 @@ std::string CliArgs::get(const std::string& name,
 long CliArgs::get_int(const std::string& name, long fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  const long value = std::strtol(it->second.c_str(), &end, 10);
-  PLIN_CHECK_MSG(end != it->second.c_str(), "flag --" + name + " not an int");
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0') {
+    throw InvalidArgument("flag --" + name + " is not an integer: '" +
+                          it->second + "'");
+  }
   return value;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  PLIN_CHECK_MSG(end != it->second.c_str(),
-                 "flag --" + name + " not a number");
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0') {
+    throw InvalidArgument("flag --" + name + " is not a number: '" +
+                          it->second + "'");
+  }
   return value;
 }
 
 void CliArgs::require_known(
-    std::initializer_list<std::string_view> known) const {
+    const std::vector<std::string_view>& known) const {
   std::string unknown;
   for (const auto& [name, value] : flags_) {
     bool found = false;

@@ -2,7 +2,6 @@
 // Supports --name=value, --name value, and boolean --name forms.
 #pragma once
 
-#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -12,8 +11,8 @@ namespace plin {
 
 class CliArgs {
  public:
-  /// Parses argv. Unknown flags are kept (benches forward the rest to
-  /// google-benchmark); positional arguments are collected in order.
+  /// Parses argv. Every flag is kept, known or not (require_known rejects
+  /// the unknown ones); positional arguments are collected in order.
   CliArgs(int argc, const char* const* argv);
 
   bool has(const std::string& name) const;
@@ -26,10 +25,9 @@ class CliArgs {
   const std::string& program() const { return program_; }
 
   /// Rejects flags outside `known` with an InvalidArgument that lists every
-  /// offender and suggests --help. Tools call this so a mistyped flag fails
-  /// loudly; benches skip it and keep forwarding unknown flags to
-  /// google-benchmark.
-  void require_known(std::initializer_list<std::string_view> known) const;
+  /// offender and suggests --help. Every tool, example and gated bench calls
+  /// this so a mistyped flag fails loudly.
+  void require_known(const std::vector<std::string_view>& known) const;
 
  private:
   std::string program_;

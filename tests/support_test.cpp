@@ -171,6 +171,34 @@ TEST(CliTest, RequireKnownListsEveryOffender) {
   }
 }
 
+TEST(CliTest, NumbersRejectTrailingGarbageNamingTheFlag) {
+  const char* argv[] = {"prog", "--n=12abc", "--tol=1e-3x", "--ranks=2000",
+                        "--ratio=-0.5", "--empty="};
+  const CliArgs args(6, argv);
+  EXPECT_EQ(args.get_int("ranks", 0), 2000);
+  EXPECT_DOUBLE_EQ(args.get_double("ratio", 0.0), -0.5);
+  for (const char* flag : {"n", "empty"}) {
+    try {
+      args.get_int(flag, 0);
+      FAIL() << "expected InvalidArgument for --" << flag;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* flag : {"tol", "n", "empty"}) {
+    try {
+      args.get_double(flag, 0.0);
+      FAIL() << "expected InvalidArgument for --" << flag;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(JsonTest, ParseSerializeRoundTripIsByteStable) {
   const std::string text =
       R"({"a":1,"b":[true,false,null],"c":{"nested":"str\"ing"},)"
