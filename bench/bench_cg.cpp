@@ -7,8 +7,9 @@
 //      recurrence is trusted and every iteration is a single round (the
 //      residual-replacement guard in solvers/cg/cg.hpp re-measures below
 //      that, which would re-add rounds a tolerance-1e-11 run pays). Its
-//      iteration count and duration are compared exactly against the
-//      checked-in smoke baseline.
+//      iteration count, duration and total data-message count (halo,
+//      collectives, setup negotiation and the final gather) are compared
+//      exactly against the checked-in smoke baseline.
 //   2. SIMD SpMV kernel — the 8-lane kSimd kernel against the kScalar
 //      reference on a host wall-clock microbenchmark over the blockdiag
 //      family (dense 64-wide rows, the kernel's best case and the reason
@@ -35,6 +36,7 @@
 // and, with --baseline, the deterministic records match.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -62,6 +64,7 @@ struct CgRun {
   int iters = 0;
   double duration_s = 0.0;
   double iter_s = 0.0;  // duration / iterations
+  std::uint64_t messages = 0;  // every data message of the solve
 };
 
 CgRun run_cg(std::size_t n) {
@@ -84,6 +87,7 @@ CgRun run_cg(std::size_t n) {
       });
   out.duration_s = run.duration_s;
   out.iter_s = out.iters > 0 ? run.duration_s / out.iters : 0.0;
+  out.messages = run.traffic.data_messages;
   return out;
 }
 
@@ -210,6 +214,8 @@ int main(int argc, char** argv) {
   h.record("fused_s", fused.duration_s, "s", bench::Clock::kVirtual,
            bench::rel(1e-5));
   h.record("fused_iter_s", fused.iter_s, "s", bench::Clock::kVirtual);
+  h.record("fused_messages", static_cast<double>(fused.messages), "count",
+           bench::Clock::kNone, bench::exact());
   h.record("simd_isa." + isa, 1.0, "flag", bench::Clock::kNone);
   h.record("spmv_scalar_s", scalar_s, "s", bench::Clock::kHost);
   h.record("spmv_simd_s", simd_s, "s", bench::Clock::kHost);

@@ -14,7 +14,8 @@
 //      time ratio mem/flop sits well above 1.
 //
 // Per family (stencil5 + banded) it also records duration, energy, CG
-// iterations, nnz and the scaled residual of the converged solve.
+// iterations, nnz, the job's total data-message count and the scaled
+// residual of the converged solve.
 // Everything lands in BENCH_sparse.json (bench/harness.hpp schema).
 //
 // Sizes: CG iterates in O(sqrt(kappa)) sweeps of O(n) traffic, so the runs
@@ -27,9 +28,10 @@
 // Flags (bench/harness.hpp): --smoke for the CI size (n=64Ki) instead of
 // the full n=256Ki; --check exits nonzero unless the runs are
 // bit-identical, the dominance ratio is >= 1, every residual passes the
-// campaign gate (1e-10), and, with --baseline, iteration counts and
-// durations match the checked-in smoke baseline (both are fully
-// deterministic: iterations exact, durations to 1e-5 relative).
+// campaign gate (1e-10), and, with --baseline, iteration counts, message
+// counts and durations match the checked-in smoke baseline (all fully
+// deterministic: counts exact, durations to 1e-5 relative).
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -58,6 +60,7 @@ struct FamilyResult {
   double residual = 0.0;
   int iters = 0;
   std::size_t nnz = 0;
+  std::uint64_t messages = 0;  // every data message of the job
 };
 
 FamilyResult run_family(sparse::SparseKind kind, std::size_t n, int ranks) {
@@ -81,6 +84,7 @@ FamilyResult run_family(sparse::SparseKind kind, std::size_t n, int ranks) {
   r.residual = job.worst_residual();
   r.iters = job.repetitions.at(0).cg_iters;
   r.nnz = job.repetitions.at(0).nnz;
+  r.messages = job.repetitions.at(0).data_messages;
   return r;
 }
 
@@ -216,6 +220,8 @@ int main(int argc, char** argv) {
              bench::exact());
     h.record(k + "_nnz", static_cast<double>(r.nnz), "count",
              bench::Clock::kNone);
+    h.record(k + "_messages", static_cast<double>(r.messages), "count",
+             bench::Clock::kNone, bench::exact());
     std::snprintf(text, sizeof(text),
                   "%s residual %.3g vs the campaign gate 1e-10", k.c_str(),
                   r.residual);

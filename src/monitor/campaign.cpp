@@ -1,6 +1,7 @@
 #include "monitor/campaign.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "linalg/generate.hpp"
 #include "linalg/kernels.hpp"
@@ -127,8 +128,8 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
               opt.seed = spec.seed;
               opt.tolerance = spec.tolerance;
               opt.precond = spec.precond;
-              const solvers::CgResult r = solve_pcg(comm, opt);
-              x = r.x;
+              solvers::CgResult r = solve_pcg(comm, opt);
+              x = std::move(r.x);
               if (comm.rank() == 0) {
                 PLIN_CHECK_MSG(r.converged, "campaign: cg did not converge");
                 rr.cg_iters = r.iterations;
@@ -144,8 +145,8 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
               opt.n = spec.n;
               opt.seed = spec.seed;
               opt.nb = spec.nb;
-              const solvers::GeppMixedResult r = solve_gepp_mixed(comm, opt);
-              x = r.x;
+              solvers::GeppMixedResult r = solve_gepp_mixed(comm, opt);
+              x = std::move(r.x);
               if (comm.rank() == 0) {
                 rr.refine_iters = r.iters;
                 rr.fell_back = r.fell_back;
@@ -165,6 +166,7 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
                          : linalg::scaled_residual(a.view(), x, b);
       }
     });
+    rr.data_messages = run.traffic.data_messages;
     rr.halo_messages = run.traffic.halo_messages;
     rr.halo_bytes = run.traffic.halo_bytes;
     rr.host_seconds = wall.elapsed_s();

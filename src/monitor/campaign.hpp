@@ -28,6 +28,8 @@ struct RepetitionResult {
   bool fell_back = false;    // mixed precision: fp32 abandoned for fp64
   int cg_iters = 0;          // CG: iterations to convergence
   std::size_t nnz = 0;       // CG: global pattern nonzeros streamed
+  /// Every data message of the run: the solver's and the monitor's own.
+  std::uint64_t data_messages = 0;
   /// CG: aggregate per-iteration halo traffic of the run (send-side counts
   /// from TrafficCounters — zero for the dense solvers and for CG systems
   /// whose partition has an empty halo, e.g. block-diagonal families).

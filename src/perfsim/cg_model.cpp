@@ -7,6 +7,9 @@
 // fused round from 3 to 5 scalars; the iteration count comes from the
 // classic CG error bound at the family's Gershgorin condition estimate
 // (unchanged by Jacobi — the generated families leave kappa where it was).
+// Setup prices the CSR slice allocation and the scalar rounds; the
+// neighbour-only halo negotiation (O(neighbours) small messages, once) is
+// left out, and teardown is the solution gather to rank 0.
 #include <algorithm>
 #include <cmath>
 
@@ -134,12 +137,11 @@ Prediction predict_cg(const hw::MachineSpec& machine,
   T += setup_rounds * (t_dot + t_round_scalar);
   T += static_cast<double>(iterations) * t_iter;
 
-  // Final solution rebuild: padded allgather (gather fan-in + broadcast,
-  // matching the executed tree collective) plus ingestion of the iterate.
+  // Final solution gather to rank 0 (the executed padded gather's fan-in,
+  // no broadcast) plus rank 0's ingestion of the iterate.
   const double t_gather =
       ranks > 1 ? static_cast<double>(ranks - 1) * ovh +
                       network.transfer_time(worst, chunk_bytes) +
-                      tree_time(layout, network, world_members, x_bytes) +
                       x_bytes / bw_share
                 : 0.0;
   T += t_gather;
@@ -165,14 +167,16 @@ Prediction predict_cg(const hw::MachineSpec& machine,
                   setup_rounds * dot_flops);
     charge_kernel(a, machine, sharers, solvers::kAxpy,
                   iters_d * (axpy_flops + (jacobi ? rows : 0.0)));
-    a.membound_s += slice_bytes / bw_share + x_bytes / bw_share;
+    a.membound_s += slice_bytes / bw_share;
+    // Only the gather root ingests the full iterate.
+    if (r == 0) a.membound_s += x_bytes / bw_share;
     a.dram_bytes += slice_bytes;
     // Halo traffic + the fused round's hops + the final gather, spread
     // evenly: per iteration 4 halo messages (2 out, 2 in) and ~2 tree hops
-    // for the fused allreduce, then the gather's chunk + broadcast share.
-    charge_messages(a, network, iters_d * (4.0 + 2.0) + 2.0,
+    // for the fused allreduce, then the gather's one chunk per rank.
+    charge_messages(a, network, iters_d * (4.0 + 2.0) + 1.0,
                     iters_d * (2.0 * 8.0 * ghost_vals + 2.0 * 8.0 * terms) +
-                        chunk_bytes + 2.0 * x_bytes / ranks);
+                        chunk_bytes);
   }
   fill_energy(prediction, machine, layout, per_rank, T);
   return prediction;

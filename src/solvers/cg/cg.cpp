@@ -136,7 +136,7 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   const int rank = comm.rank();
 
   // Contiguous row blocks, padded to a uniform chunk so the solution can be
-  // rebuilt with a fixed-size allgather (the Jacobi placement arithmetic).
+  // gathered with a fixed-size gather (the Jacobi placement arithmetic).
   const std::size_t chunk =
       (n + static_cast<std::size_t>(ranks) - 1) / ranks;
   const std::size_t lo = std::min(n, chunk * static_cast<std::size_t>(rank));
@@ -185,16 +185,18 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   }
   local.cols = local_rows + ghosts.size();
 
-  struct InPeer {
+  // Every generated family is structurally symmetric (sparse/generate.hpp):
+  // if a local row references a column owned by rank s, the mirrored entry
+  // makes a row of s reference a column of this rank. So the ranks this
+  // rank needs ghosts from are exactly the ranks that need ghosts from it,
+  // and one neighbour list carries both directions of the halo.
+  struct Neighbour {
     int peer = 0;
     std::size_t offset = 0;  // slice of the ghost region this peer fills
     std::size_t count = 0;
-  };
-  struct OutPeer {
-    int peer = 0;
     std::vector<std::size_t> rows;  // owned local indices this peer needs
   };
-  std::vector<InPeer> in_peers;
+  std::vector<Neighbour> neighbours;
   {
     std::size_t at = 0;
     while (at < ghosts.size()) {
@@ -204,46 +206,31 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
              static_cast<int>(ghosts[end] / chunk) == owner) {
         ++end;
       }
-      in_peers.push_back(InPeer{owner, at, end - at});
+      neighbours.push_back(Neighbour{owner, at, end - at, {}});
       at = end;
     }
   }
-  // Every rank tells every other rank how many of its entries it needs
-  // (possibly zero), then the column lists follow. Sends are buffered, so
-  // the symmetric all-to-all cannot deadlock.
-  for (int p = 0; p < ranks; ++p) {
-    if (p == rank) continue;
-    std::uint64_t count = 0;
-    const InPeer* in = nullptr;
-    for (const InPeer& candidate : in_peers) {
-      if (candidate.peer == p) {
-        in = &candidate;
-        count = candidate.count;
-        break;
-      }
-    }
-    comm.send_value(count, p, kTagHaloCount);
-    if (in != nullptr) {
-      comm.send(std::span<const std::uint32_t>(ghosts.data() + in->offset,
-                                               in->count),
-                p, kTagHaloCols);
-    }
+  // Each rank sends every neighbour its request count and column list, then
+  // takes the neighbour's requests: O(neighbours) messages per rank. Sends
+  // are buffered, so the symmetric exchange cannot deadlock; an asymmetric
+  // pattern would leave a receive unmatched, which the runtime reports as a
+  // deadlock.
+  for (const Neighbour& nb : neighbours) {
+    comm.send_value(static_cast<std::uint64_t>(nb.count), nb.peer,
+                    kTagHaloCount);
+    comm.send(std::span<const std::uint32_t>(ghosts.data() + nb.offset,
+                                             nb.count),
+              nb.peer, kTagHaloCols);
   }
-  std::vector<OutPeer> out_peers;
-  for (int p = 0; p < ranks; ++p) {
-    if (p == rank) continue;
-    const auto count = comm.recv_value<std::uint64_t>(p, kTagHaloCount);
-    if (count == 0) continue;
+  for (Neighbour& nb : neighbours) {
+    const auto count = comm.recv_value<std::uint64_t>(nb.peer, kTagHaloCount);
     std::vector<std::uint32_t> wanted(count, 0);
-    comm.recv(std::span<std::uint32_t>(wanted), p, kTagHaloCols);
-    OutPeer out;
-    out.peer = p;
-    out.rows.reserve(count);
+    comm.recv(std::span<std::uint32_t>(wanted), nb.peer, kTagHaloCols);
+    nb.rows.reserve(count);
     for (const std::uint32_t col : wanted) {
       PLIN_CHECK_MSG(col >= lo && col < hi, "cg: halo request out of block");
-      out.rows.push_back(col - lo);
+      nb.rows.push_back(col - lo);
     }
-    out_peers.push_back(std::move(out));
   }
 
   // Interior/boundary row split: a row is boundary iff it gathers from the
@@ -301,21 +288,21 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   std::vector<xmpi::Request> halo_requests;
 
   const auto halo_post = [&] {
-    if (in_peers.empty() && out_peers.empty()) return;
+    if (neighbours.empty()) return;
     comm.prof_phase_begin("cg:halo-post");
-    for (const InPeer& in : in_peers) {
+    for (const Neighbour& nb : neighbours) {
       halo_requests.push_back(comm.irecv(
-          std::span<double>(p_ext.data() + local_rows + in.offset, in.count),
-          in.peer, kTagHaloData));
+          std::span<double>(p_ext.data() + local_rows + nb.offset, nb.count),
+          nb.peer, kTagHaloData));
     }
-    for (const OutPeer& out : out_peers) {
-      halo_out.resize(out.rows.size());
-      for (std::size_t i = 0; i < out.rows.size(); ++i) {
-        halo_out[i] = p_ext[out.rows[i]];
+    for (const Neighbour& nb : neighbours) {
+      halo_out.resize(nb.rows.size());
+      for (std::size_t i = 0; i < nb.rows.size(); ++i) {
+        halo_out[i] = p_ext[nb.rows[i]];
       }
       // isend is buffered (the payload is on the wire before the call
       // returns), so reusing halo_out across peers is safe.
-      comm.isend_halo(std::span<const double>(halo_out), out.peer,
+      comm.isend_halo(std::span<const double>(halo_out), nb.peer,
                       kTagHaloData);
     }
     comm.prof_phase_end();
@@ -377,7 +364,7 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   const double b_norm = std::sqrt(bb);
   if (b_norm == 0.0) {
     result.converged = true;
-    result.x.assign(n, 0.0);
+    if (rank == 0) result.x.assign(n, 0.0);
     return result;
   }
 
@@ -491,21 +478,17 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
     comm.prof_phase_end();
   }
 
-  // -- rebuild the replicated solution --------------------------------------
+  // -- gather the solution to rank 0 ----------------------------------------
   comm.prof_phase_begin("cg:gather");
-  result.x.assign(n, 0.0);
-  if (ranks > 1) {
-    std::vector<double> mine(chunk, 0.0);
-    std::copy(x.begin(), x.end(), mine.begin());
-    std::vector<double> gathered(chunk * static_cast<std::size_t>(ranks),
-                                 0.0);
-    comm.allgather(std::span<const double>(mine),
-                   std::span<double>(gathered));
-    std::copy(gathered.begin(),
-              gathered.begin() + static_cast<std::ptrdiff_t>(n),
-              result.x.begin());
+  if (ranks == 1) {
+    result.x = std::move(x);
   } else {
-    std::copy(x.begin(), x.end(), result.x.begin());
+    x.resize(chunk, 0.0);  // pad a short or empty last block
+    if (rank == 0) {
+      result.x.assign(chunk * static_cast<std::size_t>(ranks), 0.0);
+    }
+    comm.gather(std::span<const double>(x), std::span<double>(result.x), 0);
+    if (rank == 0) result.x.resize(n);  // drop the last block's padding
   }
   comm.prof_phase_end();
   return result;

@@ -5,7 +5,9 @@
 //
 // The distributed solver owns contiguous row blocks (the same
 // chunk = ceil(n / P) arithmetic placement as Jacobi), generates its block
-// locally from (kind, seed, n), and runs one iteration shape:
+// locally from (kind, seed, n), trades ghost-column requests with its halo
+// neighbours only (the generated patterns are structurally symmetric), runs
+// one iteration shape, and gathers the solution to rank 0:
 //   - overlapped halo: local rows are split once at setup into *interior*
 //     rows (touch no ghost column) and *boundary* rows; per iteration the
 //     halo irecv/isends are posted, the interior SpMV runs while the ghost
@@ -52,7 +54,9 @@ struct CgOptions {
 };
 
 struct CgResult {
-  std::vector<double> x;       // full solution, replicated on every rank
+  /// Full solution on rank 0 (gathered there once at exit); empty on every
+  /// other rank.
+  std::vector<double> x;
   int iterations = 0;
   bool converged = false;
   double relative_residual = 0.0;  // ||r||_2 / ||b||_2 at exit
@@ -66,7 +70,8 @@ CgResult solve_cg(const sparse::CsrMatrix& a, const std::vector<double>& b,
                   CgPrecond precond = CgPrecond::kNone);
 
 /// Distributed CG on `comm`; the system is generated from
-/// (kind, seed, n) like the other solvers. Call from every rank.
+/// (kind, seed, n) like the other solvers. Call from every rank; only rank
+/// 0's result carries `x`.
 CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options);
 
 }  // namespace plin::solvers

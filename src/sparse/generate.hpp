@@ -4,7 +4,7 @@
 // block of the same global matrix without any communication, and the
 // replay tier can reproduce the pattern's nnz analytically.
 //
-// All five families are symmetric positive definite by construction: the
+// All six families are symmetric positive definite by construction: the
 // off-diagonal pattern is symmetric (stencil geometry, or a hash of the
 // unordered index pair) and the diagonal is the row's absolute
 // off-diagonal sum plus one, which makes the matrix strictly diagonally

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "hwmodel/placement.hpp"
@@ -62,10 +63,15 @@ TEST_P(CgFamilyParam, DistributedMatchesSequential) {
     options.seed = seed;
     const CgResult r = solve_pcg(comm, options);
     EXPECT_TRUE(r.converged);
-    EXPECT_EQ(r.x.size(), n);
-    // Solution is replicated: every rank holds a valid solve.
-    EXPECT_LT(sparse::scaled_residual(a, r.x, b), 1e-12);
-    if (comm.rank() == 0) distributed = r;
+    // The solution is gathered to rank 0 only: rank 0 holds a valid solve,
+    // every other rank's x is empty.
+    if (comm.rank() == 0) {
+      EXPECT_EQ(r.x.size(), n);
+      EXPECT_LT(sparse::scaled_residual(a, r.x, b), 1e-12);
+      distributed = r;
+    } else {
+      EXPECT_TRUE(r.x.empty()) << "rank " << comm.rank();
+    }
   });
   // The fused recurrence re-brackets the residual trajectory, so
   // termination may move by one iteration against the direct-dot oracle.
@@ -291,6 +297,31 @@ TEST(CgEdge, BlockDiagAlignedChunksSendNoHaloMessages) {
   EXPECT_GT(coupled.traffic.halo_bytes, 0u);
   EXPECT_LT(coupled.traffic.halo_messages, coupled.traffic.data_messages);
   EXPECT_LT(coupled.traffic.halo_bytes, coupled.traffic.data_bytes);
+}
+
+TEST(CgMessages, SetupAndTeardownScaleWithNeighboursNotRanks) {
+  // Non-halo data messages of one stencil5 solve: the halo-request
+  // exchange, the collectives and the final gather. Requests go to halo
+  // neighbours only and the solution is gathered to rank 0, so quadrupling
+  // P (at a fixed 64 rows per rank) grows the count about 4x (4165 ->
+  // 17585). An all-to-all request exchange grows as P^2 and takes the
+  // total 7x (5390 -> 37750). Counts are deterministic at any worker
+  // count, so the P = 144 figure is pinned.
+  const auto non_halo_messages = [](int ranks) {
+    const xmpi::RunResult run =
+        xmpi::Runtime::run(mini_config(ranks), [&](xmpi::Comm& comm) {
+          CgOptions options;
+          options.kind = SparseKind::kStencil5;
+          options.n = 64 * static_cast<std::size_t>(ranks);
+          options.seed = 1;
+          EXPECT_TRUE(solve_pcg(comm, options).converged);
+        });
+    return run.traffic.data_messages - run.traffic.halo_messages;
+  };
+  const std::uint64_t at36 = non_halo_messages(36);
+  const std::uint64_t at144 = non_halo_messages(144);
+  EXPECT_EQ(at144, 17585u);
+  EXPECT_LT(at144, 5 * at36) << "P=36: " << at36 << ", P=144: " << at144;
 }
 
 TEST(CgKernel, SimdKernelKeepsTheDeterminismContract) {

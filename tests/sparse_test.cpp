@@ -3,9 +3,12 @@
 // the CG workload family, and the Matrix Market round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "sparse/csr.hpp"
 #include "sparse/generate.hpp"
@@ -178,6 +181,49 @@ TEST_P(GeneratorParam, SymmetricDiagonallyDominantAndCountable) {
     }
     // Diagonal = |off-diagonal| sum + 1 (strict dominance, margin 1).
     EXPECT_NEAR(entry(a, i, i), offdiag + 1.0, 1e-12) << "row " << i;
+  }
+}
+
+TEST_P(GeneratorParam, StructurallySymmetricAtBenchSizes) {
+  // The distributed CG trades halo requests with the ranks it needs ghosts
+  // from only, which is sound iff (i, j) is present exactly when (j, i) is.
+  // Checked at ragged sizes and at the sizes the benches run. Rows stream
+  // in blocks of kStreamBlockRows; a ring of reach + 1 pending-row lists
+  // holds each upper entry (i, j) until row j arrives, where the lower
+  // entries must be exactly those mirrors, so memory stays O(reach).
+  const SparseKind kind = GetParam();
+  for (const std::size_t n :
+       {1000ul, 4097ul, 16384ul, 36864ul, 1ul << 17, 1ul << 18}) {
+    const std::size_t reach = pattern_reach(kind, n);
+    std::vector<std::vector<std::uint32_t>> pending(reach + 1);
+    std::vector<std::uint32_t> lower;
+    std::size_t beyond_reach = 0;
+    std::size_t asymmetric_rows = 0;
+    for (std::size_t lo = 0; lo < n; lo += kStreamBlockRows) {
+      const std::size_t hi = std::min(n, lo + kStreamBlockRows);
+      const CsrMatrix block = generate_rows(kind, 1, n, lo, hi);
+      for (std::size_t li = 0; li < block.rows; ++li) {
+        const std::size_t i = lo + li;
+        lower.clear();
+        for (std::size_t k = block.row_ptr[li]; k < block.row_ptr[li + 1];
+             ++k) {
+          const std::size_t j = block.col_idx[k];
+          if (j < i) {
+            lower.push_back(static_cast<std::uint32_t>(j));
+          } else if (j - i > reach) {
+            ++beyond_reach;
+          } else if (j > i) {
+            pending[j % pending.size()].push_back(
+                static_cast<std::uint32_t>(i));
+          }
+        }
+        std::vector<std::uint32_t>& mirrors = pending[i % pending.size()];
+        if (lower != mirrors) ++asymmetric_rows;
+        mirrors.clear();
+      }
+    }
+    EXPECT_EQ(beyond_reach, 0u) << kind_token(kind) << " n=" << n;
+    EXPECT_EQ(asymmetric_rows, 0u) << kind_token(kind) << " n=" << n;
   }
 }
 

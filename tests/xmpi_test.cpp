@@ -413,12 +413,14 @@ TEST(XmpiRuntime, NonblockingTestReportsPendingThenComplete) {
     if (comm.rank() == 0) {
       std::vector<int> buffer(1, -1);
       Request recv = comm.irecv(std::span<int>(buffer), 1, 9);
-      EXPECT_FALSE(recv.test());  // nothing sent yet
-      comm.barrier();             // peer sends before its barrier
+      EXPECT_FALSE(recv.test());  // nothing sent yet: the peer waits below
+      comm.barrier();             // releases the peer's send
+      comm.barrier();             // peer sends before its second barrier
       EXPECT_TRUE(recv.test());
       EXPECT_EQ(buffer[0], 42);
       EXPECT_TRUE(recv.test());  // stays complete
     } else {
+      comm.barrier();  // on another worker, sending earlier races the test
       comm.send_value(42, 0, 9);
       comm.barrier();
     }
