@@ -1,6 +1,6 @@
 // CG fast-path harness: pins the virtual time of the sparse CG iteration
 // (overlapped halo + one fused allreduce per iteration, docs/sparse.md)
-// and gates its host SpMV kernel.
+// and gates its host SpMV kernel against the memory roofline.
 //
 //   1. virtual-time pin — the smoke point (stencil5, n=4Ki, 8 ranks) runs
 //      at tolerance 1e-7: above relative residual 1e-6 the fused
@@ -10,16 +10,13 @@
 //      iteration count, duration and total data-message count (halo,
 //      collectives, setup negotiation and the final gather) are compared
 //      exactly against the checked-in smoke baseline.
-//   2. SIMD SpMV kernel — the 8-lane kSimd kernel against the kScalar
-//      reference on a host wall-clock microbenchmark over the blockdiag
-//      family (dense 64-wide rows, the kernel's best case and the reason
-//      the family exists). The floor is ISA-aware — 2x where the AVX-512
-//      path dispatches, 1.2x for the AVX2/generic fallbacks — and
-//      bandwidth-aware: a pure-streaming probe over the same bytes
-//      (values + column indices) measures the host's attainable ceiling,
-//      and on machines where even a perfect kernel could not reach the ISA
-//      floor (SpMV at this size is memory-bound by design — that is the
-//      family's whole point) the gate drops to 75% of that ceiling.
+//   2. SpMV roofline fraction — sparse::spmv on a host wall-clock
+//      microbenchmark over the blockdiag family (dense 64-wide rows,
+//      n=64Ki, a working set well beyond the caches), next to a
+//      pure-streaming probe over the same bytes (values + column indices)
+//      that measures the host's attainable memory ceiling. SpMV at this
+//      size is memory-bound by design, so the gate asks the kernel to
+//      reach at least half of that ceiling: stream_s / spmv_s >= 0.5.
 //
 // It also replays the pinned point through the perfsim CG model and
 // checks the predicted per-iteration time against the executed one within
@@ -29,7 +26,7 @@
 // virtual-time records are fully deterministic and compared against the
 // checked-in smoke baseline under --check (iterations exact, duration to
 // 1e-5 relative); the host wall-clock SpMV timings are machine-dependent
-// and only floor-gated, never baselined.
+// and only gated as a fraction of the stream probe, never baselined.
 //
 // Flags (bench/harness.hpp): --smoke for the CI size (pinned point n=4Ki)
 // instead of n=16Ki; --check exits nonzero unless every gate above holds
@@ -49,7 +46,6 @@
 #include "perfsim/simulator.hpp"
 #include "solvers/cg/cg.hpp"
 #include "sparse/generate.hpp"
-#include "sparse/spmv_kernel.hpp"
 #include "support/stopwatch.hpp"
 #include "xmpi/runtime.hpp"
 
@@ -91,14 +87,10 @@ CgRun run_cg(std::size_t n) {
   return out;
 }
 
-/// Best-of-reps host seconds for `sweeps` back-to-back SpMVs under the
-/// given kernel (the result sum is returned through *sink so the loop
-/// cannot be optimized away).
+/// Best-of-reps host seconds for `sweeps` back-to-back SpMVs (the result
+/// sum is returned through *sink so the loop cannot be optimized away).
 double time_spmv(const sparse::CsrMatrix& a, const std::vector<double>& x,
-                 sparse::SpmvKernel kernel, int sweeps, double* sink) {
-  sparse::SpmvConfig config;
-  config.kernel = kernel;
-  sparse::set_spmv_config(config);
+                 int sweeps, double* sink) {
   std::vector<double> y(a.rows);
   spmv(a, x, y);  // warm the caches and the page tables
   double best = 1e300;
@@ -107,7 +99,6 @@ double time_spmv(const sparse::CsrMatrix& a, const std::vector<double>& x,
     for (int s = 0; s < sweeps; ++s) spmv(a, x, y);
     best = std::min(best, wall.elapsed_s());
   }
-  sparse::reset_spmv_config();
   for (const double v : y) *sink += v;
   return best / sweeps;
 }
@@ -127,7 +118,7 @@ double time_stream_floor(const sparse::CsrMatrix& a, std::uint64_t* sink) {
   for (int rep = 0; rep < 3; ++rep) {
     Stopwatch wall;
     std::uint64_t acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (const auto [base, words] :
+    for (const auto& [base, words] :
          {std::pair{vals, val_words}, std::pair{cols, col_words}}) {
       std::size_t w = 0;
       for (; w + 8 <= words; w += 8) {
@@ -158,7 +149,7 @@ int main(int argc, char** argv) {
   std::printf("  fused:    %8.3f us/iter (%d iters)\n", fused.iter_s * 1e6,
               fused.iters);
 
-  // --- 2. SIMD SpMV kernel (host wall clock) -----------------------------
+  // --- 2. SpMV roofline fraction (host wall clock) -----------------------
   const std::size_t spmv_n = 65536;
   const sparse::CsrMatrix a =
       sparse::generate_matrix(sparse::SparseKind::kBlockDiag, 1, spmv_n);
@@ -167,23 +158,13 @@ int main(int argc, char** argv) {
     x[i] = std::sin(static_cast<double>(i) * 0.11) + 1.5;
   }
   double sink = 0.0;
-  const double scalar_s =
-      time_spmv(a, x, sparse::SpmvKernel::kScalar, /*sweeps=*/8, &sink);
-  const double simd_s =
-      time_spmv(a, x, sparse::SpmvKernel::kSimd, /*sweeps=*/8, &sink);
-  const double spmv_speedup = simd_s > 0.0 ? scalar_s / simd_s : 0.0;
-  const std::string isa = sparse::simd_isa();
-  const double isa_floor = isa == "avx512" ? 2.0 : 1.2;
+  const double spmv_s = time_spmv(a, x, /*sweeps=*/8, &sink);
   std::uint64_t stream_sink = 0;
   const double stream_s = time_stream_floor(a, &stream_sink);
-  // The best any kernel streaming these bytes can do over the scalar
-  // reference on this host (memory-bound by design at this size).
-  const double attainable = stream_s > 0.0 ? scalar_s / stream_s : isa_floor;
-  const double spmv_floor = std::min(isa_floor, 0.75 * attainable);
-  std::printf("  spmv n=%zu nnz=%zu (%s): scalar %.3f ms, simd %.3f ms -> "
-              "%.2fx (stream ceiling %.2fx, floor %.2fx)%s\n",
-              spmv_n, a.nnz(), isa.c_str(), scalar_s * 1e3, simd_s * 1e3,
-              spmv_speedup, attainable, spmv_floor,
+  const double stream_frac = spmv_s > 0.0 ? stream_s / spmv_s : 0.0;
+  std::printf("  spmv n=%zu nnz=%zu: %.3f ms, stream probe %.3f ms -> "
+              "%.2f of the ceiling%s\n",
+              spmv_n, a.nnz(), spmv_s * 1e3, stream_s * 1e3, stream_frac,
               sink == 1e300 && stream_sink == 1 ? "!" : "");
 
   // --- 3. perfsim replay envelope ----------------------------------------
@@ -216,22 +197,17 @@ int main(int argc, char** argv) {
   h.record("fused_iter_s", fused.iter_s, "s", bench::Clock::kVirtual);
   h.record("fused_messages", static_cast<double>(fused.messages), "count",
            bench::Clock::kNone, bench::exact());
-  h.record("simd_isa." + isa, 1.0, "flag", bench::Clock::kNone);
-  h.record("spmv_scalar_s", scalar_s, "s", bench::Clock::kHost);
-  h.record("spmv_simd_s", simd_s, "s", bench::Clock::kHost);
-  h.record("spmv_speedup", spmv_speedup, "ratio", bench::Clock::kHost);
+  h.record("spmv_s", spmv_s, "s", bench::Clock::kHost);
   h.record("spmv_stream_s", stream_s, "s", bench::Clock::kHost);
-  h.record("spmv_attainable", attainable, "ratio", bench::Clock::kHost);
-  h.record("spmv_floor", spmv_floor, "ratio", bench::Clock::kHost);
+  h.record("spmv_stream_frac", stream_frac, "ratio", bench::Clock::kHost);
   h.record("predicted_iter_s", predicted_iter_s, "s", bench::Clock::kVirtual);
   h.record("model_ratio", model_ratio, "ratio", bench::Clock::kVirtual);
 
   char detail[160];
   std::snprintf(detail, sizeof(detail),
-                "simd spmv speedup %.2fx vs the %.2fx floor (%s, stream "
-                "ceiling %.2fx)",
-                spmv_speedup, spmv_floor, isa.c_str(), attainable);
-  h.gate("spmv-speedup>=floor", spmv_speedup >= spmv_floor, detail);
+                "spmv reaches %.2f of the stream probe (floor 0.5)",
+                stream_frac);
+  h.gate("spmv-stream-frac>=0.5", stream_frac >= 0.5, detail);
   std::snprintf(detail, sizeof(detail),
                 "perfsim per-iteration prediction %.2fx the executed one "
                 "(envelope 3x)",

@@ -1,12 +1,14 @@
 // Collective-schedule and transport benchmark: tree vs scalable schedules,
-// payload pool on vs off.
+// and the heap allocations the payload pool removes.
 //
 // For each workload x rank count the harness runs the seed tree schedules
 // and the scalable schedules (PLIN_XMPI_COLL=scalable equivalent) and
 // records the virtual duration, the bytes funneled through rank 0
 // (send + recv side, `TrafficCounters::through_bytes`), total message
-// counts and host wall-clock. A pool-off run of the tree schedule gives
-// the per-message allocation baseline the payload pool removes.
+// counts and host wall-clock. The tree schedule's pool acquires give the
+// per-message allocation baseline the payload pool removes: without the
+// pool every acquire would be a heap allocation, so `pool.acquires()` is
+// the allocation count of a pool-less transport over the same deliveries.
 //
 // Output: a table plus `BENCH_collectives.json` (bench/harness.hpp
 // schema). The bytes through rank 0 are deterministic, so each case's
@@ -16,8 +18,8 @@
 // nonzero unless, at the largest rank count,
 //   (a) the scalable allgather and allreduce move >= 2x less bytes through
 //       rank 0 than the tree schedules, and
-//   (b) the pool removes heap allocations (pool-on misses < pool-off
-//       misses),
+//   (b) the pool removes heap allocations (misses < acquires, summed
+//       over the workloads),
 // and, with --baseline, every root_through_bytes matches.
 #include <algorithm>
 #include <cstdint>
@@ -35,8 +37,7 @@ namespace {
 
 using namespace plin;
 
-xmpi::RunConfig harness_config(int ranks, xmpi::CollectiveMode collectives,
-                               xmpi::PoolMode pool) {
+xmpi::RunConfig harness_config(int ranks, xmpi::CollectiveMode collectives) {
   // Same fully loaded mini-cluster shape as bench_xmpi (2 sockets x 8
   // cores per node, just enough nodes for the rank count).
   constexpr int kCoresPerSocket = 8;
@@ -46,7 +47,6 @@ xmpi::RunConfig harness_config(int ranks, xmpi::CollectiveMode collectives,
   config.placement = hw::make_placement(ranks, hw::LoadLayout::kFullLoad,
                                         config.machine);
   config.transport.collectives = collectives;
-  config.transport.pool = pool;
   return config;
 }
 
@@ -119,12 +119,13 @@ struct ModeSample {
   std::uint64_t messages = 0;   // world total (send-side)
   std::uint64_t allocs = 0;     // payload-pool misses = heap allocations
   std::uint64_t pool_hits = 0;
+  std::uint64_t acquires = 0;   // heap allocations without the pool
   std::uint64_t rendezvous = 0;
 };
 
 ModeSample sample(const WorkloadSpec& spec, int ranks,
-                  xmpi::CollectiveMode collectives, xmpi::PoolMode pool) {
-  const xmpi::RunConfig config = harness_config(ranks, collectives, pool);
+                  xmpi::CollectiveMode collectives) {
+  const xmpi::RunConfig config = harness_config(ranks, collectives);
   ModeSample out;
   const auto once = [&] {
     const xmpi::RunResult run = xmpi::Runtime::run(config, spec.body);
@@ -135,6 +136,7 @@ ModeSample sample(const WorkloadSpec& spec, int ranks,
     out.messages = run.traffic.data_messages + run.traffic.control_messages;
     out.allocs = run.transport.pool.misses;
     out.pool_hits = run.transport.pool.hits;
+    out.acquires = run.transport.pool.acquires();
     out.rendezvous = run.transport.rendezvous_messages;
   };
   out.host_s = bench::best_seconds(once, {0.0, 3, 3, 1.0, 1});
@@ -147,7 +149,6 @@ struct CaseResult {
   bool gated = false;
   ModeSample tree;
   ModeSample scalable;
-  std::uint64_t pool_off_allocs = 0;  // tree schedule, pool disabled
 
   double root_ratio() const {
     return scalable.root_bytes > 0
@@ -171,27 +172,22 @@ int main(int argc, char** argv) {
       r.workload = spec.name;
       r.ranks = ranks;
       r.gated = spec.gated;
-      r.tree = sample(spec, ranks, xmpi::CollectiveMode::kTree,
-                      xmpi::PoolMode::kOn);
-      r.scalable = sample(spec, ranks, xmpi::CollectiveMode::kScalable,
-                          xmpi::PoolMode::kOn);
-      r.pool_off_allocs = sample(spec, ranks, xmpi::CollectiveMode::kTree,
-                                 xmpi::PoolMode::kOff)
-                              .allocs;
+      r.tree = sample(spec, ranks, xmpi::CollectiveMode::kTree);
+      r.scalable = sample(spec, ranks, xmpi::CollectiveMode::kScalable);
       results.push_back(std::move(r));
     }
   }
 
   std::printf("%-16s %6s | %14s %14s %7s | %10s %10s %10s\n", "workload",
-              "ranks", "tree root B", "scal root B", "ratio", "allocs off",
-              "allocs on", "rndzvs");
+              "ranks", "tree root B", "scal root B", "ratio", "acquires",
+              "misses", "rndzvs");
   for (const CaseResult& r : results) {
     std::printf("%-16s %6d | %14llu %14llu %6.2fx | %10llu %10llu %10llu\n",
                 r.workload.c_str(), r.ranks,
                 static_cast<unsigned long long>(r.tree.root_bytes),
                 static_cast<unsigned long long>(r.scalable.root_bytes),
                 r.root_ratio(),
-                static_cast<unsigned long long>(r.pool_off_allocs),
+                static_cast<unsigned long long>(r.tree.acquires),
                 static_cast<unsigned long long>(r.tree.allocs),
                 static_cast<unsigned long long>(r.tree.rendezvous));
   }
@@ -221,7 +217,7 @@ int main(int argc, char** argv) {
     h.record(prefix + ".root_bytes_ratio", r.root_ratio(), "ratio",
              bench::Clock::kNone);
     h.record(prefix + ".pool_off_alloc_count",
-             static_cast<double>(r.pool_off_allocs), "count",
+             static_cast<double>(r.tree.acquires), "count",
              bench::Clock::kNone);
   }
 
@@ -230,13 +226,13 @@ int main(int argc, char** argv) {
   // receives, so the pool's remaining win is gated in aggregate over the
   // whole sweep rather than per workload (any single case can legitimately
   // go ~all-rendezvous under favourable host scheduling).
-  std::uint64_t allocs_on = 0;
-  std::uint64_t allocs_off = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t acquires = 0;
   char detail[160];
   for (const CaseResult& r : results) {
     if (r.ranks != largest) continue;
-    allocs_on += r.tree.allocs;
-    allocs_off += r.pool_off_allocs;
+    misses += r.tree.allocs;
+    acquires += r.tree.acquires;
     if (!r.gated) continue;
     std::snprintf(detail, sizeof(detail),
                   "%s at %d ranks moves %.2fx less data through rank 0 with "
@@ -245,9 +241,10 @@ int main(int argc, char** argv) {
     h.gate(r.workload + "-root-bytes>=2x", r.root_ratio() >= 2.0, detail);
   }
   std::snprintf(detail, sizeof(detail),
-                "pool-on allocations %llu vs pool-off %llu at %d ranks",
-                static_cast<unsigned long long>(allocs_on),
-                static_cast<unsigned long long>(allocs_off), largest);
-  h.gate("pool-removes-allocations", allocs_on < allocs_off, detail);
+                "pool misses %llu vs %llu acquires (pool-less allocations) "
+                "at %d ranks",
+                static_cast<unsigned long long>(misses),
+                static_cast<unsigned long long>(acquires), largest);
+  h.gate("pool-removes-allocations", misses < acquires, detail);
   return h.finish();
 }

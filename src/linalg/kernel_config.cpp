@@ -1,7 +1,6 @@
 #include "linalg/kernel_config.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace plin::linalg {
 namespace {
@@ -12,21 +11,12 @@ constexpr std::size_t kSupportedTiles[][2] = {
     {4, 4}, {4, 8}, {8, 4}, {6, 8}, {8, 8}, {8, 16},
 };
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw, &end, 10);
-  if (end == raw || value == 0) return fallback;
-  return static_cast<std::size_t>(value);
-}
-
 std::size_t round_up(std::size_t value, std::size_t multiple) {
   return ((value + multiple - 1) / multiple) * multiple;
 }
 
 KernelConfig& mutable_active() {
-  static KernelConfig config = KernelConfig::from_env().normalized();
+  static KernelConfig config = KernelConfig::defaults().normalized();
   return config;
 }
 
@@ -44,18 +34,6 @@ KernelConfig KernelConfig::defaults() {
   config.mr = 4;
   config.nr = 8;
 #endif
-  return config;
-}
-
-KernelConfig KernelConfig::from_env() {
-  KernelConfig config = defaults();
-  config.mc = env_size("PLIN_GEMM_MC", config.mc);
-  config.kc = env_size("PLIN_GEMM_KC", config.kc);
-  config.nc = env_size("PLIN_GEMM_NC", config.nc);
-  config.mr = env_size("PLIN_GEMM_MR", config.mr);
-  config.nr = env_size("PLIN_GEMM_NR", config.nr);
-  config.trsm_block = env_size("PLIN_TRSM_NB", config.trsm_block);
-  config.ger_block = env_size("PLIN_GER_NB", config.ger_block);
   return config;
 }
 
@@ -99,7 +77,7 @@ void set_kernel_config(const KernelConfig& config) {
 }
 
 void reset_kernel_config() {
-  mutable_active() = KernelConfig::from_env().normalized();
+  mutable_active() = KernelConfig::defaults().normalized();
 }
 
 }  // namespace plin::linalg

@@ -3,15 +3,12 @@
 //
 // The packed GEMM pipeline is parameterized the BLIS way: three cache block
 // sizes (MC x KC panels of A, KC x NC panels of B) and an MR x NR register
-// tile computed by an unrolled micro-kernel. All five are runtime knobs so
+// tile computed by an unrolled micro-kernel. All five are fields of
+// KernelConfig, installed with set_kernel_config (tests and benches), so
 // machines can be tuned without recompiling; the register tile is snapped to
-// the nearest compiled micro-kernel variant.
-//
-// Environment overrides (read once, on first use):
-//   PLIN_GEMM_MC / PLIN_GEMM_KC / PLIN_GEMM_NC   cache block sizes
-//   PLIN_GEMM_MR / PLIN_GEMM_NR                  register tile
-//   PLIN_TRSM_NB                                 TRSM diagonal block size
-//   PLIN_GER_NB                                  dger column tile
+// the nearest compiled micro-kernel variant. Nothing reads them from the
+// environment: KC reorders GEMM sums, and a setting outside every store key
+// must not move cached result bits.
 //
 // None of these knobs affect the flop counts the solvers charge to xmpi's
 // virtual clock: simulated durations/energy are invariant under them (the
@@ -35,11 +32,8 @@ struct KernelConfig {
   // Column tile for the rank-1 update (keeps the y chunk cache-resident).
   std::size_t ger_block = 2048;
 
-  /// Compiled-in defaults (ISA-appropriate register tile, no env).
+  /// Compiled-in defaults (ISA-appropriate register tile).
   static KernelConfig defaults();
-
-  /// defaults() overridden by the PLIN_* environment variables.
-  static KernelConfig from_env();
 
   /// Copy with every field clamped/snapped to values the engine supports:
   /// (mr, nr) becomes a compiled micro-kernel pair, mc is rounded up to a
@@ -47,7 +41,7 @@ struct KernelConfig {
   KernelConfig normalized() const;
 };
 
-/// The config every kernel call reads (initialized from_env on first use).
+/// The config every kernel call reads (defaults() until set).
 const KernelConfig& active_kernel_config();
 
 /// Install a new active config (normalized first). Used by tuners, the
@@ -55,7 +49,7 @@ const KernelConfig& active_kernel_config();
 /// single-threaded like the rest of the simulator).
 void set_kernel_config(const KernelConfig& config);
 
-/// Drop back to the environment-derived config.
+/// Drop back to the normalized defaults().
 void reset_kernel_config();
 
 }  // namespace plin::linalg

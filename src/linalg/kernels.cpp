@@ -286,8 +286,8 @@ void micro_tile_simd(std::size_t kc, const T* PLIN_RESTRICT ap,
 }
 
 /// Scalar fallback for register tiles whose NR is narrower than the native
-/// vector width (reachable via PLIN_GEMM_MR/NR overrides, and for narrow
-/// fp32 tiles whose NR is below the doubled lane count).
+/// vector width (reachable via an explicit KernelConfig mr/nr, and for
+/// narrow fp32 tiles whose NR is below the doubled lane count).
 template <typename T, std::size_t MR, std::size_t NR>
 void micro_tile_scalar(std::size_t kc, const T* PLIN_RESTRICT ap,
                        const T* PLIN_RESTRICT bp, T* PLIN_RESTRICT c,
@@ -345,8 +345,8 @@ constexpr MicroVariant<double> kMicroVariantsF64[] = {
 
 // The fp32 set is the fp64 set with NR doubled (one float lane holds twice
 // the elements, so the same register budget covers twice the tile width),
-// plus the shared shapes so explicit PLIN_GEMM_MR/NR overrides still
-// resolve. Keep in sync with the fp32 snapping note in kernel_config.cpp.
+// plus the shared shapes so an explicit KernelConfig mr/nr still
+// resolves. Keep in sync with the fp32 snapping note in kernel_config.cpp.
 constexpr MicroVariant<float> kMicroVariantsF32[] = {
     {4, 8, micro_tile<float, 4, 8>},    {4, 16, micro_tile<float, 4, 16>},
     {8, 8, micro_tile<float, 8, 8>},    {6, 16, micro_tile<float, 6, 16>},

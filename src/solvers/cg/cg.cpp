@@ -6,7 +6,7 @@
 #include "hwmodel/sparse.hpp"
 #include "linalg/generate.hpp"
 #include "solvers/efficiency.hpp"
-#include "sparse/spmv_kernel.hpp"
+#include "sparse/csr.hpp"
 #include "support/error.hpp"
 
 namespace plin::solvers {

@@ -28,9 +28,8 @@
 // The sequential solve_cg is the test oracle. Its first iterate is bitwise
 // that of solve_pcg at P = 1; after that the recurrence legitimately
 // re-brackets the residual trajectory, so the two may terminate +-1
-// iteration apart. solve_pcg honors the repo's determinism contract: at a
-// fixed PLIN_SPARSE_KERNEL, results are bit-identical across worker counts
-// and collective modes.
+// iteration apart. solve_pcg honors the repo's determinism contract:
+// results are bit-identical across worker counts and collective modes.
 #pragma once
 
 #include <cstdint>

@@ -56,6 +56,41 @@ void CsrMatrix::normalize() {
   values = std::move(new_val);
 }
 
+namespace {
+
+/// One row of y = A x: two independent accumulators over even/odd entry
+/// pairs, summed as acc0 + acc1.
+double row_dot(const CsrMatrix& a, std::size_t r, const double* x) {
+  const std::uint32_t* cols = a.col_idx.data();
+  const double* vals = a.values.data();
+  const std::size_t hi = a.row_ptr[r + 1];
+  double acc0 = 0.0;
+  double acc1 = 0.0;
+  std::size_t k = a.row_ptr[r];
+  for (; k + 1 < hi; k += 2) {
+    acc0 += vals[k] * x[cols[k]];
+    acc1 += vals[k + 1] * x[cols[k + 1]];
+  }
+  if (k < hi) acc0 += vals[k] * x[cols[k]];
+  return acc0 + acc1;
+}
+
+}  // namespace
+
+void spmv(const CsrMatrix& a, std::span<const double> x,
+          std::span<double> y) {
+  PLIN_CHECK_MSG(x.size() == a.cols && y.size() == a.rows,
+                 "spmv: vector shape mismatch");
+  for (std::size_t r = 0; r < a.rows; ++r) y[r] = row_dot(a, r, x.data());
+}
+
+void spmv_rows(const CsrMatrix& a, std::span<const double> x,
+               std::span<double> y, std::span<const std::uint32_t> rows) {
+  PLIN_CHECK_MSG(x.size() == a.cols && y.size() == a.rows,
+                 "spmv_rows: vector shape mismatch");
+  for (const std::uint32_t r : rows) y[r] = row_dot(a, r, x.data());
+}
+
 CsrMatrix make_empty(std::size_t rows, std::size_t cols) {
   CsrMatrix a;
   a.rows = rows;

@@ -47,11 +47,18 @@ struct CsrMatrix {
 CsrMatrix make_empty(std::size_t rows, std::size_t cols);
 
 /// y = A * x. x must have a.cols elements, y a.rows; throws otherwise.
-/// Sequential; routed through the runtime-selected kernel
-/// (spmv_kernel.hpp — scalar accumulator pairs by default, opt-in 8-lane
-/// SIMD via PLIN_SPARSE_KERNEL=simd).
+/// Sequential. Each row sums its entries in two independent accumulators
+/// over even/odd entry pairs, added as acc0 + acc1 at the end — that
+/// bracketing is the kernel's numeric contract (docs/sparse.md).
 void spmv(const CsrMatrix& a, std::span<const double> x,
           std::span<double> y);
+
+/// y[r] = (A x)[r] for exactly the rows listed in `rows`; every other y
+/// entry is left untouched. Per-row accumulation is identical to spmv, so
+/// computing a row here or there yields the same bits — the property the
+/// CG interior/boundary split relies on (docs/sparse.md).
+void spmv_rows(const CsrMatrix& a, std::span<const double> x,
+               std::span<double> y, std::span<const std::uint32_t> rows);
 
 /// Infinity norm (max absolute row sum).
 double inf_norm(const CsrMatrix& a);

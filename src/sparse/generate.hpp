@@ -49,8 +49,8 @@ inline constexpr std::size_t kRandomHalfWidth = 32;
 /// Block edge of the block-diagonal family. Rows couple only inside their
 /// 64-aligned block, so any row-block distribution whose chunk is a
 /// multiple of 64 has an *empty halo* — the zero-message CG fast path —
-/// and every row carries ~64 entries, wide enough to feed the 8-lane SIMD
-/// SpMV kernel full blocks (docs/sparse.md).
+/// and every row carries ~64 entries — the dense-row end of the SpMV
+/// range (docs/sparse.md).
 inline constexpr std::size_t kDiagBlock = 64;
 
 /// Rows per block of the streamed consumers below (generated_residual,

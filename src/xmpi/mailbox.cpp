@@ -43,19 +43,8 @@ void Mailbox::post(Envelope&& envelope) {
 }
 
 bool Mailbox::deliver(Envelope&& envelope, std::span<const std::byte> data,
-                      PayloadPool& pool, bool rendezvous) {
+                      PayloadPool& pool) {
   envelope.bytes = data.size();
-  if (!rendezvous) {
-    // No in-place option: prepare the pooled payload outside the mailbox
-    // lock so concurrent senders to the same receiver don't serialize on
-    // the copy.
-    if (!data.empty()) {
-      envelope.payload = pool.acquire(data.size());
-      std::memcpy(envelope.payload.data(), data.data(), data.size());
-    }
-    post(std::move(envelope));
-    return false;
-  }
   Parker* to_wake = nullptr;
   bool taken = false;
   {

@@ -108,12 +108,12 @@ class Mailbox {
   void post(Envelope&& envelope);
 
   /// Transport entry point for senders: attaches `data` to `envelope` and
-  /// enqueues it. Takes the zero-copy rendezvous path when `rendezvous` is
-  /// true and the registered pending receive provably matches this message
-  /// (see the header comment); otherwise copies into a buffer from `pool`.
-  /// Returns true when the rendezvous path was taken.
+  /// enqueues it. Takes the zero-copy rendezvous path when the registered
+  /// pending receive provably matches this message (see the header
+  /// comment); otherwise copies into a buffer from `pool`. Returns true
+  /// when the rendezvous path was taken.
   bool deliver(Envelope&& envelope, std::span<const std::byte> data,
-               PayloadPool& pool, bool rendezvous);
+               PayloadPool& pool);
 
   /// Blocks until a message matching (src, tag, context) is present and
   /// removes it. With kAnySource/kAnyTag, picks the present message with

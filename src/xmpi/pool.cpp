@@ -26,18 +26,6 @@ PayloadPool::~PayloadPool() {
   }
 }
 
-void PayloadPool::configure(const Config& config) {
-  config_ = config;
-  if (config_.max_cached_per_class == 0) {
-    config_.max_cached_per_class = kDefaultMaxCachedPerClass;
-  }
-  for (SizeClass& size_class : classes_) {
-    std::lock_guard<std::mutex> lock(size_class.mutex);
-    for (std::byte* buffer : size_class.free_list) delete[] buffer;
-    size_class.free_list.clear();
-  }
-}
-
 int PayloadPool::class_of(std::size_t bytes) {
   std::size_t capacity = kMinClassBytes;
   for (int c = 0; c < kClassCount; ++c) {
@@ -58,7 +46,7 @@ PayloadBuffer PayloadPool::acquire(std::size_t bytes) {
   buffer.size_ = bytes;
   note_live(bytes);
 
-  const int size_class = config_.enabled ? class_of(bytes) : -1;
+  const int size_class = class_of(bytes);
   if (size_class >= 0) {
     buffer.size_class_ = size_class;
     buffer.capacity_ = class_capacity(size_class);
@@ -76,8 +64,8 @@ PayloadBuffer PayloadPool::acquire(std::size_t bytes) {
     }
     buffer.data_ = new std::byte[buffer.capacity_];
   } else {
-    // Pool off or oversize: plain heap buffer, still tracked for the peak
-    // footprint counter.
+    // Oversize: plain heap buffer, still tracked for the peak footprint
+    // counter.
     buffer.capacity_ = bytes;
     buffer.data_ = new std::byte[bytes];
   }
@@ -90,7 +78,7 @@ void PayloadPool::recycle(std::byte* data, std::size_t capacity,
   SizeClass& entry = classes_[size_class];
   {
     std::lock_guard<std::mutex> lock(entry.mutex);
-    if (entry.free_list.size() < config_.max_cached_per_class) {
+    if (entry.free_list.size() < kMaxCachedPerClass) {
       entry.free_list.push_back(data);
       recycled_buffers_.fetch_add(1, std::memory_order_relaxed);
       recycled_bytes_.fetch_add(capacity, std::memory_order_relaxed);

@@ -12,7 +12,7 @@
 //
 // Size classes are powers of two from 64 B to 4 MiB; larger payloads fall
 // back to plain heap allocation (counted as misses). Each class keeps at
-// most `max_cached_per_class` buffers — beyond that, returned storage is
+// most `kMaxCachedPerClass` buffers — beyond that, returned storage is
 // freed, so a burst of huge broadcasts cannot pin memory forever.
 //
 // Buffers are handed out as RAII PayloadBuffer handles that return their
@@ -20,8 +20,8 @@
 // by construction: consuming an envelope recycles its buffer.
 //
 // All host-side only: the pool never touches virtual clocks, the energy
-// ledger or message ordering, so simulated outputs are bit-identical with
-// the pool on or off (asserted by xmpi_collectives_test).
+// ledger or message ordering, so simulated outputs do not depend on which
+// acquires hit the free lists.
 #pragma once
 
 #include <atomic>
@@ -36,7 +36,7 @@ namespace plin::xmpi {
 /// the run has quiesced, e.g. when read from RunResult).
 struct PoolStats {
   std::uint64_t hits = 0;    ///< acquisitions served from a free list
-  std::uint64_t misses = 0;  ///< heap allocations (pool off, cold, oversize)
+  std::uint64_t misses = 0;  ///< heap allocations (cold or oversize)
   std::uint64_t recycled_buffers = 0;  ///< returns parked for reuse
   std::uint64_t recycled_bytes = 0;    ///< capacity bytes of those returns
   /// High-water mark of simultaneously live payload bytes across the run
@@ -50,8 +50,7 @@ class PayloadPool;
 
 /// RAII handle to one message payload buffer. Move-only; empty (data() ==
 /// nullptr) for zero-byte messages. Destruction returns the storage to the
-/// owning pool's free list (or the heap when the buffer is oversize or the
-/// pool is disabled).
+/// owning pool's free list (or the heap when the buffer is oversize).
 class PayloadBuffer {
  public:
   PayloadBuffer() = default;
@@ -101,27 +100,15 @@ class PayloadBuffer {
 
 class PayloadPool {
  public:
-  struct Config {
-    /// Disabled pools still hand out working buffers — every acquire is a
-    /// heap allocation counted as a miss (the ablation baseline).
-    bool enabled = true;
-    /// Buffers parked per size class before returns fall through to free.
-    std::size_t max_cached_per_class = kDefaultMaxCachedPerClass;
-  };
-
   static constexpr std::size_t kMinClassBytes = 64;
   static constexpr int kClassCount = 17;  // 64 B, 128 B, ..., 4 MiB
-  static constexpr std::size_t kDefaultMaxCachedPerClass = 256;
+  /// Buffers parked per size class before returns fall through to free.
+  static constexpr std::size_t kMaxCachedPerClass = 256;
 
   PayloadPool() = default;
   ~PayloadPool();
   PayloadPool(const PayloadPool&) = delete;
   PayloadPool& operator=(const PayloadPool&) = delete;
-
-  /// Replaces the configuration and drops all cached buffers. Outstanding
-  /// PayloadBuffers are unaffected (they still return here).
-  void configure(const Config& config);
-  const Config& config() const { return config_; }
 
   /// Returns a buffer of logical size `bytes` (capacity is the size
   /// class). Contents are uninitialized. Thread-safe.
@@ -146,7 +133,6 @@ class PayloadPool {
     std::vector<std::byte*> free_list;
   };
 
-  Config config_;
   SizeClass classes_[kClassCount];
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

@@ -52,12 +52,9 @@ struct RunConfig {
   /// Usable bytes per rank fiber stack; 0 → PLIN_XMPI_STACK_KB env, else
   /// 512 KiB (lazily committed).
   std::size_t fiber_stack_bytes = 0;
-  /// Message-transport knobs: payload buffer pool, zero-copy rendezvous
-  /// delivery and the collective schedule family. kAuto fields resolve
-  /// from PLIN_XMPI_POOL / PLIN_XMPI_RENDEZVOUS / PLIN_XMPI_COLL /
-  /// PLIN_XMPI_POOL_CAP (docs/xmpi.md). Pool and rendezvous are host-side
-  /// only; the collective mode changes simulated schedules (default: the
-  /// seed tree schedules).
+  /// The collective schedule family; kAuto resolves from PLIN_XMPI_COLL
+  /// (docs/xmpi.md). It changes simulated schedules (default: the seed
+  /// tree schedules).
   TransportConfig transport;
   /// Enables span tracing for this run even when no output path is set;
   /// the collected prof::TraceData is returned in RunResult::trace.

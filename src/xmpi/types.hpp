@@ -37,21 +37,12 @@ inline constexpr int kBcastStreamBase = -16;
 
 enum class ReduceOp { kSum, kMax, kMin };
 
-// -- transport / collective tuning knobs -------------------------------------
+// -- collective tuning knob -------------------------------------------------
 //
-// Resolved by World::configure_transport: explicit kOn/kOff/kTree/kScalable
-// win; kAuto falls back to the PLIN_XMPI_POOL / PLIN_XMPI_RENDEZVOUS /
-// PLIN_XMPI_COLL environment variables, then to the defaults noted below.
-// Pool and rendezvous are host-side only and never perturb simulated
-// outputs; the collective mode changes the simulated schedule itself (see
-// docs/xmpi.md for the determinism contract).
-
-/// Payload buffer pool (default on).
-enum class PoolMode { kAuto, kOn, kOff };
-
-/// Zero-copy rendezvous delivery into an already-registered receive
-/// (default on).
-enum class RendezvousMode { kAuto, kOn, kOff };
+// Resolved by World::configure_transport: an explicit kTree/kScalable wins;
+// kAuto falls back to the PLIN_XMPI_COLL environment variable, then to the
+// default noted below. The collective mode changes the simulated schedule
+// itself (see docs/xmpi.md for the determinism contract).
 
 /// Collective schedule family. kTree is the seed root/tree schedule set —
 /// canonical outputs depend on its virtual timing, so it stays the
@@ -62,12 +53,7 @@ enum class RendezvousMode { kAuto, kOn, kOff };
 enum class CollectiveMode { kAuto, kTree, kScalable };
 
 struct TransportConfig {
-  PoolMode pool = PoolMode::kAuto;
-  RendezvousMode rendezvous = RendezvousMode::kAuto;
   CollectiveMode collectives = CollectiveMode::kAuto;
-  /// Buffers cached per pool size class; 0 → PLIN_XMPI_POOL_CAP env, else
-  /// PayloadPool::kDefaultMaxCachedPerClass.
-  std::size_t pool_max_cached_per_class = 0;
 };
 
 /// Scalar width of the arithmetic behind a ComputeCost. fp32 runs against

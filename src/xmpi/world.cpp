@@ -9,15 +9,6 @@ namespace plin::xmpi {
 
 namespace {
 
-/// On/off environment switch: unset or empty → `fallback`; "0"/"off" →
-/// false; anything else → true.
-bool env_switch(const char* name, bool fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const std::string_view text(value);
-  return text != "0" && text != "off";
-}
-
 CollectiveMode env_collective_mode() {
   const char* value = std::getenv("PLIN_XMPI_COLL");
   if (value == nullptr || *value == '\0') return CollectiveMode::kTree;
@@ -26,15 +17,6 @@ CollectiveMode env_collective_mode() {
   if (text == "scalable") return CollectiveMode::kScalable;
   PLIN_CHECK_MSG(false, "PLIN_XMPI_COLL must be tree or scalable");
   return CollectiveMode::kTree;
-}
-
-std::size_t env_pool_cap() {
-  const char* value = std::getenv("PLIN_XMPI_POOL_CAP");
-  if (value == nullptr || *value == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') return 0;
-  return static_cast<std::size_t>(parsed);
 }
 
 }  // namespace
@@ -97,8 +79,8 @@ void World::post(int dst_world, Envelope&& envelope) {
 void World::deliver(int dst_world, Envelope&& envelope,
                     std::span<const std::byte> data) {
   const std::size_t bytes = data.size();
-  if (rank_state(dst_world).mailbox.deliver(std::move(envelope), data, pool_,
-                                            rendezvous_enabled_)) {
+  if (rank_state(dst_world).mailbox.deliver(std::move(envelope), data,
+                                            pool_)) {
     rendezvous_messages_.fetch_add(1, std::memory_order_relaxed);
     rendezvous_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   } else {
@@ -107,27 +89,13 @@ void World::deliver(int dst_world, Envelope&& envelope,
 }
 
 void World::configure_transport(const TransportConfig& config) {
-  const bool pool_on =
-      config.pool == PoolMode::kAuto
-          ? env_switch("PLIN_XMPI_POOL", true)
-          : config.pool == PoolMode::kOn;
-  rendezvous_enabled_ =
-      config.rendezvous == RendezvousMode::kAuto
-          ? env_switch("PLIN_XMPI_RENDEZVOUS", true)
-          : config.rendezvous == RendezvousMode::kOn;
   collective_mode_ = config.collectives == CollectiveMode::kAuto
                          ? env_collective_mode()
                          : config.collectives;
-  const std::size_t cap = config.pool_max_cached_per_class != 0
-                              ? config.pool_max_cached_per_class
-                              : env_pool_cap();
-  pool_.configure(PayloadPool::Config{pool_on, cap});
 }
 
 TransportStats World::transport_stats() const {
   TransportStats stats;
-  stats.pool_enabled = pool_.config().enabled;
-  stats.rendezvous_enabled = rendezvous_enabled_;
   stats.pool = pool_.stats();
   stats.eager_messages = eager_messages_.load(std::memory_order_relaxed);
   stats.rendezvous_messages =

@@ -23,12 +23,9 @@
 
 namespace plin::xmpi {
 
-/// Resolved transport state plus its counters, surfaced through
-/// RunResult::transport. Host-side diagnostics only — none of it feeds
-/// back into virtual time or energy.
+/// Transport counters, surfaced through RunResult::transport. Host-side
+/// diagnostics only — none of it feeds back into virtual time or energy.
 struct TransportStats {
-  bool pool_enabled = false;
-  bool rendezvous_enabled = false;
   PoolStats pool;
   std::uint64_t eager_messages = 0;
   std::uint64_t rendezvous_messages = 0;
@@ -81,14 +78,12 @@ class World {
   void deliver(int dst_world, Envelope&& envelope,
                std::span<const std::byte> data);
 
-  /// Resolves the transport knobs (explicit settings win, then the
-  /// PLIN_XMPI_POOL / PLIN_XMPI_RENDEZVOUS / PLIN_XMPI_COLL /
-  /// PLIN_XMPI_POOL_CAP environment, then defaults: pool and rendezvous
-  /// on, tree collectives). The World constructor applies the all-kAuto
-  /// configuration; Runtime::run re-applies RunConfig::transport.
+  /// Resolves the collective mode (an explicit setting wins, then the
+  /// PLIN_XMPI_COLL environment, then tree collectives). The World
+  /// constructor applies the kAuto configuration; Runtime::run re-applies
+  /// RunConfig::transport.
   void configure_transport(const TransportConfig& config);
   PayloadPool& payload_pool() { return pool_; }
-  bool rendezvous_enabled() const { return rendezvous_enabled_; }
   CollectiveMode collective_mode() const { return collective_mode_; }
   TransportStats transport_stats() const;
 
@@ -113,7 +108,6 @@ class World {
   /// Declared before ranks_: mailboxes may still hold pooled envelopes at
   /// destruction, and their buffers return to the pool.
   PayloadPool pool_;
-  bool rendezvous_enabled_ = true;
   CollectiveMode collective_mode_ = CollectiveMode::kTree;
   std::atomic<std::uint64_t> eager_messages_{0};
   std::atomic<std::uint64_t> rendezvous_messages_{0};

@@ -13,7 +13,6 @@
 #include "perfsim/simulator.hpp"
 #include "solvers/cg/cg.hpp"
 #include "sparse/generate.hpp"
-#include "sparse/spmv_kernel.hpp"
 #include "support/error.hpp"
 #include "xmpi/runtime.hpp"
 
@@ -322,34 +321,6 @@ TEST(CgMessages, SetupAndTeardownScaleWithNeighboursNotRanks) {
   const std::uint64_t at144 = non_halo_messages(144);
   EXPECT_EQ(at144, 17585u);
   EXPECT_LT(at144, 5 * at36) << "P=36: " << at36 << ", P=144: " << at144;
-}
-
-TEST(CgKernel, SimdKernelKeepsTheDeterminismContract) {
-  // The bit-identity contract is per kernel: with kSimd pinned, runtime
-  // knobs (workers, collective mode) must not move a bit either.
-  sparse::SpmvConfig config;
-  config.kernel = sparse::SpmvKernel::kSimd;
-  sparse::set_spmv_config(config);
-  const std::size_t n = 160;
-
-  xmpi::RunConfig base = mini_config(6);
-  base.workers = 2;
-  xmpi::RunConfig more_workers = mini_config(6);
-  more_workers.workers = 5;
-  xmpi::RunConfig scalable = mini_config(6);
-  scalable.transport.collectives = xmpi::CollectiveMode::kScalable;
-
-  const CgRun reference = run_cg(base, n);
-  ASSERT_EQ(reference.x.size(), n);
-  for (const xmpi::RunConfig& other_config : {more_workers, scalable}) {
-    const CgRun other = run_cg(other_config, n);
-    EXPECT_EQ(other.iterations, reference.iterations);
-    ASSERT_EQ(other.x.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(other.x[i], reference.x[i]) << "x[" << i << "]";
-    }
-  }
-  sparse::reset_spmv_config();
 }
 
 TEST(CgPrecond, JacobiMatchesSequentialAndConvergesFused) {

@@ -22,14 +22,13 @@ namespace {
 
 xmpi::RunConfig mini_config(
     int ranks, xmpi::CollectiveMode collectives = xmpi::CollectiveMode::kTree,
-    std::size_t workers = 0, xmpi::PoolMode pool = xmpi::PoolMode::kAuto) {
+    std::size_t workers = 0) {
   xmpi::RunConfig config;
   config.machine = hw::mini_cluster(/*nodes=*/32, /*cores_per_socket=*/4);
   config.placement =
       hw::make_placement(ranks, hw::LoadLayout::kFullLoad, config.machine);
   config.workers = workers;
   config.transport.collectives = collectives;
-  config.transport.pool = pool;
   return config;
 }
 
@@ -137,8 +136,7 @@ TEST(GeppMixedTest, BitIdenticalAcrossHostConfigurations) {
       mini_config(4, xmpi::CollectiveMode::kTree, /*workers=*/4),
       mini_config(4, xmpi::CollectiveMode::kTree, /*workers=*/1),
       mini_config(4, xmpi::CollectiveMode::kTree, /*workers=*/3),
-      mini_config(4, xmpi::CollectiveMode::kScalable, /*workers=*/2,
-                  xmpi::PoolMode::kOff),
+      mini_config(4, xmpi::CollectiveMode::kScalable, /*workers=*/2),
   };
   for (const xmpi::RunConfig& config : variants) {
     const MixedRun other = run_mixed(config, options);

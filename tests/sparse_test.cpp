@@ -13,7 +13,6 @@
 #include "sparse/csr.hpp"
 #include "sparse/generate.hpp"
 #include "sparse/mm.hpp"
-#include "sparse/spmv_kernel.hpp"
 #include "support/error.hpp"
 
 namespace plin::sparse {
@@ -371,27 +370,21 @@ TEST(GeneratorTest, RejectsSystemsBeyond32BitColumns) {
 TEST(GeneratorTest, GeneratedResidualMatchesFullMatrixBitwise) {
   // n = 1, inside one stream block, and a partial last block.
   const std::size_t sizes[] = {1, 777, 2 * kStreamBlockRows + 123};
-  for (const SpmvKernel kernel : {SpmvKernel::kScalar, SpmvKernel::kSimd}) {
-    SpmvConfig config;
-    config.kernel = kernel;
-    set_spmv_config(config);
-    for (const SparseKind kind :
-         {SparseKind::kStencil5, SparseKind::kStencil9, SparseKind::kStencil27,
-          SparseKind::kBanded, SparseKind::kRandom, SparseKind::kBlockDiag}) {
-      for (const std::size_t n : sizes) {
-        std::vector<double> x(n);
-        std::vector<double> b(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          x[i] = 1.0 + 0.5 * std::sin(static_cast<double>(i) * 0.7);
-          b[i] = std::cos(static_cast<double>(i) * 0.3);
-        }
-        EXPECT_EQ(generated_residual(kind, 9, n, x, b),
-                  scaled_residual(generate_matrix(kind, 9, n), x, b))
-            << kernel_token(kernel) << " " << kind_token(kind) << " n=" << n;
+  for (const SparseKind kind :
+       {SparseKind::kStencil5, SparseKind::kStencil9, SparseKind::kStencil27,
+        SparseKind::kBanded, SparseKind::kRandom, SparseKind::kBlockDiag}) {
+    for (const std::size_t n : sizes) {
+      std::vector<double> x(n);
+      std::vector<double> b(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = 1.0 + 0.5 * std::sin(static_cast<double>(i) * 0.7);
+        b[i] = std::cos(static_cast<double>(i) * 0.3);
       }
+      EXPECT_EQ(generated_residual(kind, 9, n, x, b),
+                scaled_residual(generate_matrix(kind, 9, n), x, b))
+          << kind_token(kind) << " n=" << n;
     }
   }
-  reset_spmv_config();
 }
 
 TEST(GeneratorTest, RandomPatternIsSeedIndependent) {
@@ -430,86 +423,31 @@ TEST(GeneratorTest, PatternReachBoundsColumnDistance) {
   }
 }
 
-TEST(SpmvKernelTest, TokensRoundTripAndIsaIsKnown) {
-  EXPECT_EQ(parse_kernel_token("scalar"), SpmvKernel::kScalar);
-  EXPECT_EQ(parse_kernel_token("simd"), SpmvKernel::kSimd);
-  EXPECT_EQ(parse_kernel_token(kernel_token(SpmvKernel::kScalar)),
-            SpmvKernel::kScalar);
-  EXPECT_EQ(parse_kernel_token(kernel_token(SpmvKernel::kSimd)),
-            SpmvKernel::kSimd);
-  EXPECT_THROW(parse_kernel_token("avx"), InvalidArgument);
-  const std::string isa = simd_isa();
-  EXPECT_TRUE(isa == "avx512" || isa == "avx2" || isa == "generic") << isa;
-  // The compiled-in default is the reference kernel every checked-in
-  // baseline was produced with.
-  EXPECT_EQ(SpmvConfig::defaults().kernel, SpmvKernel::kScalar);
-}
-
-TEST(SpmvKernelTest, SimdMatchesScalarToRoundingAndIsDeterministic) {
-  const std::size_t n = 257;  // forces remainder lanes on most rows
-  for (const SparseKind kind :
-       {SparseKind::kStencil5, SparseKind::kBanded, SparseKind::kRandom,
-        SparseKind::kBlockDiag}) {
-    const CsrMatrix a = generate_matrix(kind, 11, n);
-    std::vector<double> x(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = std::cos(static_cast<double>(i) * 0.37) * 2.0 - 0.5;
-    }
-    std::vector<double> scalar_y(n);
-    spmv(a, x, scalar_y);
-
-    SpmvConfig config;
-    config.kernel = SpmvKernel::kSimd;
-    set_spmv_config(config);
-    std::vector<double> simd_y(n);
-    std::vector<double> simd_y2(n);
-    spmv(a, x, simd_y);
-    spmv(a, x, simd_y2);
-    reset_spmv_config();
-
-    for (std::size_t i = 0; i < n; ++i) {
-      // Different bracketing, same math: rounding-level agreement only...
-      EXPECT_NEAR(simd_y[i], scalar_y[i],
-                  1e-13 * (std::fabs(scalar_y[i]) + 1.0))
-          << kind_token(kind) << " row " << i;
-      // ...but the simd kernel itself is bit-reproducible.
-      EXPECT_EQ(simd_y[i], simd_y2[i]) << kind_token(kind) << " row " << i;
-    }
-  }
-}
-
 TEST(SpmvKernelTest, SpmvRowsPartitionReproducesFullSpmvBitwise) {
   // The CG iteration computes interior rows, then boundary rows, as two
-  // spmv_rows calls — under either kernel the union must be bitwise the
-  // full spmv (per-row accumulation does not depend on which call ran it).
+  // spmv_rows calls — the union must be bitwise the full spmv (per-row
+  // accumulation does not depend on which call ran it).
   const std::size_t n = 180;
   const CsrMatrix a = generate_matrix(SparseKind::kStencil5, 21, n);
   std::vector<double> x(n);
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = std::sin(static_cast<double>(i) * 1.7) + 0.25;
   }
-  for (const SpmvKernel kernel : {SpmvKernel::kScalar, SpmvKernel::kSimd}) {
-    SpmvConfig config;
-    config.kernel = kernel;
-    set_spmv_config(config);
-    std::vector<double> full(n);
-    spmv(a, x, full);
+  std::vector<double> full(n);
+  spmv(a, x, full);
 
-    // An interleaved split (evens as "interior", odds as "boundary") is
-    // harsher than any contiguous boundary split.
-    std::vector<std::uint32_t> evens;
-    std::vector<std::uint32_t> odds;
-    for (std::uint32_t r = 0; r < n; ++r) {
-      (r % 2 == 0 ? evens : odds).push_back(r);
-    }
-    std::vector<double> split(n, -7.0);
-    spmv_rows(a, x, split, evens);
-    spmv_rows(a, x, split, odds);
-    reset_spmv_config();
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(split[i], full[i])
-          << kernel_token(kernel) << " row " << i;
-    }
+  // An interleaved split (evens as "interior", odds as "boundary") is
+  // harsher than any contiguous boundary split.
+  std::vector<std::uint32_t> evens;
+  std::vector<std::uint32_t> odds;
+  for (std::uint32_t r = 0; r < n; ++r) {
+    (r % 2 == 0 ? evens : odds).push_back(r);
+  }
+  std::vector<double> split(n, -7.0);
+  spmv_rows(a, x, split, evens);
+  spmv_rows(a, x, split, odds);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(split[i], full[i]) << "row " << i;
   }
 }
 

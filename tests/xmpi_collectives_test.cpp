@@ -3,8 +3,8 @@
 //
 // The load-bearing contracts:
 //   * simulated outputs (durations, energy, solver results) are
-//     bit-identical with the pool on or off, with rendezvous on or off,
-//     and across worker counts — the transport is host-side only;
+//     bit-identical across worker counts — the transport (pool and
+//     rendezvous delivery) is host-side only;
 //   * the scalable schedules are bit-identical to the tree schedules for
 //     power-of-two rank counts (rank-order-preserving combine), and for
 //     kMax/kMin at any rank count; non-power-of-two kSum is deterministic
@@ -44,11 +44,8 @@ RunConfig mini_config(int ranks, TransportConfig transport = {},
   return config;
 }
 
-TransportConfig transport(PoolMode pool, RendezvousMode rendezvous,
-                          CollectiveMode collectives = CollectiveMode::kTree) {
+TransportConfig transport(CollectiveMode collectives = CollectiveMode::kTree) {
   TransportConfig t;
-  t.pool = pool;
-  t.rendezvous = rendezvous;
   t.collectives = collectives;
   return t;
 }
@@ -98,13 +95,13 @@ TEST(PayloadPoolTest, RecyclesBufferAcrossAcquires) {
 
 TEST(PayloadPoolTest, CapEvictsExcessReturns) {
   PayloadPool pool;
-  pool.configure({/*enabled=*/true, /*max_cached_per_class=*/2});
   {
-    PayloadBuffer a = pool.acquire(64);
-    PayloadBuffer b = pool.acquire(64);
-    PayloadBuffer c = pool.acquire(64);
-  }  // only two of the three returns may park on the free list
-  EXPECT_EQ(pool.stats().recycled_buffers, 2u);
+    std::vector<PayloadBuffer> live;
+    for (std::size_t i = 0; i <= PayloadPool::kMaxCachedPerClass; ++i) {
+      live.push_back(pool.acquire(64));
+    }
+  }  // only kMaxCachedPerClass of the returns may park on the free list
+  EXPECT_EQ(pool.stats().recycled_buffers, PayloadPool::kMaxCachedPerClass);
 }
 
 TEST(PayloadPoolTest, OversizePayloadFallsBackToHeap) {
@@ -119,20 +116,6 @@ TEST(PayloadPoolTest, OversizePayloadFallsBackToHeap) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.recycled_buffers, 0u);  // oversize is never cached
   EXPECT_GE(stats.peak_payload_bytes, huge);
-}
-
-TEST(PayloadPoolTest, DisabledPoolCountsEveryAcquireAsMiss) {
-  PayloadPool pool;
-  pool.configure({/*enabled=*/false, /*max_cached_per_class=*/0});
-  for (int i = 0; i < 4; ++i) {
-    PayloadBuffer buffer = pool.acquire(256);
-    ASSERT_NE(buffer.data(), nullptr);
-  }
-  const PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 4u);
-  EXPECT_EQ(stats.recycled_buffers, 0u);
-  EXPECT_GE(stats.peak_payload_bytes, 256u);  // peak tracked even when off
 }
 
 TEST(PayloadPoolTest, PeakTracksSimultaneouslyLiveBytes) {
@@ -168,20 +151,13 @@ SolverRun pdgesv_run(const RunConfig& config) {
 
 TEST(TransportIdentityTest, SolverOutputsBitIdenticalAcrossTransports) {
   const int ranks = 8;
-  const SolverRun base =
-      pdgesv_run(mini_config(ranks, transport(PoolMode::kOn,
-                                              RendezvousMode::kOn)));
+  const SolverRun base = pdgesv_run(mini_config(ranks, transport()));
   ASSERT_EQ(base.x.size(), 64u);
 
   const RunConfig variants[] = {
-      mini_config(ranks, transport(PoolMode::kOff, RendezvousMode::kOn)),
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOff)),
-      mini_config(ranks, transport(PoolMode::kOff, RendezvousMode::kOff)),
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn),
-                  /*workers=*/1),
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn),
-                  /*workers=*/4),
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn),
+      mini_config(ranks, transport(), /*workers=*/1),
+      mini_config(ranks, transport(), /*workers=*/4),
+      mini_config(ranks, transport(),
                   /*workers=*/static_cast<std::size_t>(ranks)),
   };
   for (const RunConfig& config : variants) {
@@ -226,7 +202,7 @@ TEST(RendezvousTest, ParkedExactMatchReceiveTakesZeroCopyPath) {
   // the time the send happens — delivery should write straight into the
   // destination span.
   const RunResult run = Runtime::run(
-      mini_config(2, transport(PoolMode::kOn, RendezvousMode::kOn)),
+      mini_config(2, transport()),
       [](Comm& comm) {
         if (comm.rank() == 0) {
           std::vector<double> data(512);
@@ -239,24 +215,8 @@ TEST(RendezvousTest, ParkedExactMatchReceiveTakesZeroCopyPath) {
           comm.send(std::span<const double>(data), /*dst=*/0, /*tag=*/7);
         }
       });
-  EXPECT_TRUE(run.transport.rendezvous_enabled);
   EXPECT_GE(run.transport.rendezvous_messages, 1u);
   EXPECT_GE(run.transport.rendezvous_bytes, 512u * sizeof(double));
-}
-
-TEST(RendezvousTest, DisabledRendezvousDeliversEverythingEager) {
-  const RunResult run = Runtime::run(
-      mini_config(4, transport(PoolMode::kOn, RendezvousMode::kOff)),
-      [](Comm& comm) {
-        double value = comm.rank() + 1.0;
-        for (int round = 0; round < 4; ++round) {
-          value = comm.allreduce_value(value, ReduceOp::kSum);
-          comm.barrier();
-        }
-      });
-  EXPECT_FALSE(run.transport.rendezvous_enabled);
-  EXPECT_EQ(run.transport.rendezvous_messages, 0u);
-  EXPECT_GT(run.transport.eager_messages, 0u);
 }
 
 TEST(RendezvousTest, WildcardReceivesNeverRendezvousAndPoolRecyclesSafely) {
@@ -272,7 +232,7 @@ TEST(RendezvousTest, WildcardReceivesNeverRendezvousAndPoolRecyclesSafely) {
   constexpr int kRounds = 48;
   constexpr int kBatch = 16;
   const RunResult run = Runtime::run(
-      mini_config(kRanks, transport(PoolMode::kOn, RendezvousMode::kOn),
+      mini_config(kRanks, transport(),
                   /*workers=*/4),
       [](Comm& comm) {
         if (comm.rank() == 0) {
@@ -307,34 +267,38 @@ TEST(RendezvousTest, WildcardReceivesNeverRendezvousAndPoolRecyclesSafely) {
 }
 
 TEST(RendezvousTest, PoolStatsSurfacedThroughRunResult) {
-  // The barrier after each bcast is backpressure: a rank only enters it
-  // after consuming (and thus recycling) its incoming payload, so round
-  // k+1's seven 2 KiB acquires always find round k's buffers on the free
-  // list. Barrier messages are empty and never touch the pool.
-  const auto workload = [](Comm& comm) {
-    std::vector<double> data(256, comm.rank() * 1.0);
-    for (int round = 0; round < 16; ++round) {
-      comm.bcast(std::span<double>(data), /*root=*/0);
-      comm.barrier();
-    }
-  };
-  const RunResult pooled = Runtime::run(
-      mini_config(8, transport(PoolMode::kOn, RendezvousMode::kOff)),
-      workload);
-  EXPECT_TRUE(pooled.transport.pool_enabled);
-  EXPECT_GT(pooled.transport.pool.hits, 0u);
-  EXPECT_GT(pooled.transport.pool.peak_payload_bytes, 0u);
-  // Satellite audit: broadcast intermediates and consumed envelopes are
-  // recycled, so heap allocations are a small fraction of the 16*7
-  // deliveries (the eager path would otherwise allocate every time).
-  EXPECT_LT(pooled.transport.pool.misses * 4, pooled.transport.pool.hits);
-
-  const RunResult unpooled = Runtime::run(
-      mini_config(8, transport(PoolMode::kOff, RendezvousMode::kOff)),
-      workload);
-  EXPECT_FALSE(unpooled.transport.pool_enabled);
-  EXPECT_EQ(unpooled.transport.pool.hits, 0u);
-  EXPECT_GT(unpooled.transport.pool.misses, pooled.transport.pool.misses);
+  // Ranks 1..7 each send rank 0 one 2 KiB payload per round and wait for
+  // an int ack; every receive is a wildcard, and wildcard receives never
+  // rendezvous, so every delivery goes through the pool. The acks are
+  // backpressure: rank 0 acks only after consuming (and thus recycling)
+  // all seven payloads of a round, and a peer sends again only after
+  // consuming its ack. So after the first round's cold misses (seven
+  // payloads, seven acks) every acquire finds a buffer on the free list.
+  constexpr int kPeers = 7;
+  constexpr int kRounds = 16;
+  const RunResult run = Runtime::run(
+      mini_config(kPeers + 1, transport()), [](Comm& comm) {
+        std::vector<double> data(256, comm.rank() * 1.0);
+        for (int round = 0; round < kRounds; ++round) {
+          if (comm.rank() == 0) {
+            for (int peer = 1; peer < comm.size(); ++peer) {
+              comm.recv(std::span<double>(data), kAnySource, kAnyTag);
+            }
+            for (int peer = 1; peer < comm.size(); ++peer) {
+              comm.send_value(round, peer, /*tag=*/6);
+            }
+          } else {
+            comm.send(std::span<const double>(data), /*dst=*/0, /*tag=*/5);
+            EXPECT_EQ(comm.recv_value<int>(kAnySource, kAnyTag), round);
+          }
+        }
+      });
+  EXPECT_EQ(run.transport.rendezvous_messages, 0u);
+  EXPECT_EQ(run.transport.eager_messages, 2u * kPeers * kRounds);
+  EXPECT_EQ(run.transport.pool.acquires(), run.transport.eager_messages);
+  EXPECT_EQ(run.transport.pool.misses, 2u * kPeers);
+  EXPECT_EQ(run.transport.pool.hits, 2u * kPeers * (kRounds - 1));
+  EXPECT_GE(run.transport.pool.peak_payload_bytes, 256 * sizeof(double));
 }
 
 // ---- collective schedules --------------------------------------------------
@@ -348,7 +312,7 @@ std::vector<double> run_allreduce(int ranks, CollectiveMode mode,
   const std::size_t count = contribution_rank0.size();
   std::vector<double> result;
   Runtime::run(
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn, mode),
+      mini_config(ranks, transport(mode),
                   workers),
       [&](Comm& comm) {
         std::vector<double> mine(count);
@@ -432,7 +396,7 @@ TEST(ScalableCollectivesTest, RingAllgatherMatchesTreeSchedule) {
          {CollectiveMode::kTree, CollectiveMode::kScalable}) {
       Runtime::run(
           mini_config(ranks,
-                      transport(PoolMode::kOn, RendezvousMode::kOn, mode)),
+                      transport(mode)),
           [&](Comm& comm) {
             std::vector<double> mine(kChunk);
             for (std::size_t i = 0; i < kChunk; ++i) {
@@ -491,7 +455,7 @@ Comm::MaxLoc run_maxloc(int ranks, CollectiveMode mode,
                         const std::vector<double>& values) {
   Comm::MaxLoc result;
   Runtime::run(
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn, mode)),
+      mini_config(ranks, transport(mode)),
       [&](Comm& comm) {
         const Comm::MaxLoc mine = comm.allreduce_maxloc(
             values[static_cast<std::size_t>(comm.rank())], comm.rank());
@@ -538,7 +502,7 @@ Comm::MaxLocT<float> run_maxloc_f32(int ranks, CollectiveMode mode,
                                     const std::vector<float>& values) {
   Comm::MaxLocT<float> result;
   Runtime::run(
-      mini_config(ranks, transport(PoolMode::kOn, RendezvousMode::kOn, mode)),
+      mini_config(ranks, transport(mode)),
       [&](Comm& comm) {
         const Comm::MaxLocT<float> mine = comm.allreduce_maxloc(
             values[static_cast<std::size_t>(comm.rank())],
@@ -614,7 +578,7 @@ TEST(ReduceContractTest, Fp32ReduceNaNAndSchedulesAgree) {
       std::vector<float> root_sum;
       Runtime::run(
           mini_config(ranks,
-                      transport(PoolMode::kOn, RendezvousMode::kOn, mode)),
+                      transport(mode)),
           [&](Comm& comm) {
             std::vector<float> mine(16);
             for (std::size_t i = 0; i < mine.size(); ++i) {
@@ -661,11 +625,9 @@ TEST(ScalableCollectivesTest, SolverResidualHoldsUnderScalableSchedules) {
   // exact bracketing: the scalable schedule must still produce a valid,
   // repeatable solve.
   const SolverRun first = pdgesv_run(mini_config(
-      8, transport(PoolMode::kOn, RendezvousMode::kOn,
-                   CollectiveMode::kScalable)));
+      8, transport(CollectiveMode::kScalable)));
   const SolverRun second = pdgesv_run(mini_config(
-      8, transport(PoolMode::kOn, RendezvousMode::kOn,
-                   CollectiveMode::kScalable)));
+      8, transport(CollectiveMode::kScalable)));
   ASSERT_EQ(first.x.size(), 64u);
   expect_bits_equal(first.x, second.x);
   EXPECT_EQ(first.run.duration_s, second.run.duration_s);
