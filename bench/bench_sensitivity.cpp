@@ -66,7 +66,8 @@ int main() {
       machine.network.internode_latency_s *= scale;
       machine.network.intersocket_latency_s *= scale;
       machine.network.intrasocket_latency_s *= scale;
-      variants.emplace_back("latency x" + format_fixed(scale, 1), machine);
+      variants.emplace_back(std::string("latency x") + format_fixed(scale, 1),
+                            machine);
     }
     sweep(std::cout, "interconnect latency", variants);
   }
@@ -78,7 +79,8 @@ int main() {
     for (const double scale : {0.5, 1.0, 2.0}) {
       hw::MachineSpec machine = hw::marconi_a3();
       machine.node.socket.dram_bandwidth_bs *= scale;
-      variants.emplace_back("bandwidth x" + format_fixed(scale, 1), machine);
+      variants.emplace_back(
+          std::string("bandwidth x") + format_fixed(scale, 1), machine);
     }
     sweep(std::cout, "socket DRAM bandwidth", variants);
   }
@@ -91,7 +93,8 @@ int main() {
     for (const double scale : {0.75, 1.0, 1.5}) {
       hw::MachineSpec machine = hw::marconi_a3();
       machine.node.socket.core.clock_ghz *= scale;
-      variants.emplace_back("clock x" + format_fixed(scale, 2), machine);
+      variants.emplace_back(std::string("clock x") + format_fixed(scale, 2),
+                            machine);
     }
     sweep(std::cout, "core throughput", variants);
   }
@@ -110,11 +113,12 @@ int main() {
         const CellResult cell = evaluate(machine, n, ranks);
         if (cell.t_ime < cell.t_sca) {
           if (!wins.empty()) wins += ", ";
-          wins += "(" + std::to_string(n) + "," + std::to_string(ranks) + ")";
+          wins += std::string("(") + std::to_string(n) + "," +
+                  std::to_string(ranks) + ")";
         }
       }
     }
-    table.add_row({"x" + format_fixed(scale, 1),
+    table.add_row({std::string("x") + format_fixed(scale, 1),
                    wins.empty() ? "none" : wins});
   }
   table.print(std::cout);

@@ -1,11 +1,11 @@
-// Analytic replay of the ScaLAPACK-style LU (see solvers/gepp/pdgesv.cpp
+// Analytic replay of the ScaLAPACK-style LU (see solvers/gepp/pdlu.cpp
 // for the executed twin). LU is bulk-synchronous per panel — the pivot
 // allreduce serializes the panel process column per matrix column — so the
 // critical path is the sum over panels of communication plus the slowest
 // rank's compute in each stage.
 //
 // The same walk prices the mixed-precision GEPP variant
-// (solvers/gepp/mixed.cpp): factorization and triangular solves at fp32
+// (solvers/gepp/mixed.cpp, the same LU at float): factorization and triangular solves at fp32
 // payloads (4-byte elements, twice the per-core peak), then
 // refinement_iters(n) fp64 refinement sweeps, each a distributed residual
 // GEMV plus an fp32 correction solve plus the norm/solution collectives.

@@ -3,468 +3,29 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "linalg/generate.hpp"
-#include "linalg/kernels.hpp"
-#include "linalg/matrix.hpp"
+#include "solvers/gepp/pdlu.hpp"
 #include "support/error.hpp"
 
 namespace plin::solvers {
 namespace {
 
-constexpr int kTagSwap = 20;
+using pdlu::cost_of;
 
-/// Per-precision constants: prof phase names and the precision tag each
-/// ComputeCost carries so the hardware model prices flops against the right
-/// peak and DRAM traffic at the right element width.
+/// The system scaled by entry_scale, factored in precision T; nullopt on a
+/// dead pivot (every rank sees the same verdict at the same panel).
 template <typename T>
-struct Prec;
-
-template <>
-struct Prec<float> {
-  static constexpr xmpi::Precision kCost = xmpi::Precision::kFp32;
-  static constexpr const char* kSetup = "gepp32:setup";
-  static constexpr const char* kFactorPanel = "gepp32:factor_panel";
-  static constexpr const char* kPivotBcast = "gepp32:pivot_bcast";
-  static constexpr const char* kRowSwap = "gepp32:row_swap";
-  static constexpr const char* kLpanelBcast = "gepp32:lpanel_bcast";
-  static constexpr const char* kU12 = "gepp32:u12";
-  static constexpr const char* kGemm = "gepp32:gemm";
-  static constexpr const char* kSolve = "gepp32:solve";
-};
-
-template <>
-struct Prec<double> {
-  static constexpr xmpi::Precision kCost = xmpi::Precision::kFp64;
-  static constexpr const char* kSetup = "gepp64:setup";
-  static constexpr const char* kFactorPanel = "gepp64:factor_panel";
-  static constexpr const char* kPivotBcast = "gepp64:pivot_bcast";
-  static constexpr const char* kRowSwap = "gepp64:row_swap";
-  static constexpr const char* kLpanelBcast = "gepp64:lpanel_bcast";
-  static constexpr const char* kU12 = "gepp64:u12";
-  static constexpr const char* kGemm = "gepp64:gemm";
-  static constexpr const char* kSolve = "gepp64:solve";
-};
-
-/// The efficiency profiles are calibrated for fp64; an fp32 kernel does the
-/// same flops but streams half the bytes per flop.
-template <typename T>
-xmpi::ComputeCost cost_of(const KernelProfile& profile, double flops) {
-  return xmpi::ComputeCost{flops,
-                           flops * profile.bytes_per_flop *
-                               (sizeof(T) / sizeof(double)),
-                           profile.efficiency, Prec<T>::kCost};
-}
-
-template <typename T>
-xmpi::ComputeCost movement(double bytes) {
-  return xmpi::ComputeCost{0.0, bytes, 1.0, Prec<T>::kCost};
-}
-
-/// Everything the factorization needs to know about "me" (the precision-T
-/// twin of pdgesv's GridContext).
-template <typename T>
-struct GridCtx {
-  xmpi::Comm* world;
-  xmpi::Comm* row_comm;
-  xmpi::Comm* col_comm;
-  linalg::BlockCyclicDesc desc;
-  int myrow = 0;
-  int mycol = 0;
-  std::vector<T> swap_outgoing;
-  std::vector<T> swap_incoming;
-
-  std::size_t local_rows_below(std::size_t g) const {
-    return linalg::numroc(g, desc.mb, myrow, desc.grid.prows);
+std::optional<pdlu::Factors<T>> factorize(pdlu::Grid& grid,
+                                          const GeppMixedOptions& options) {
+  pdlu::Factors<T> f =
+      pdlu::generate<T>(grid, options.seed, options.entry_scale);
+  pdlu::Workspace<T> ws;
+  for (std::size_t k0 = 0; k0 < options.n; k0 += options.nb) {
+    if (!pdlu::factor_one_panel(grid, f, k0, ws)) return std::nullopt;
   }
-  std::size_t local_cols_below(std::size_t g) const {
-    return linalg::numroc(g, desc.nb, mycol, desc.grid.pcols);
-  }
-};
-
-/// This rank's share of the completed PA = LU plus what the solve needs.
-/// ok == false means a pivot came out zero (or NaN) — in fp32 that is the
-/// cue to fall back, not an error.
-template <typename T>
-struct FactorState {
-  linalg::BlockCyclicDesc desc;
-  int myrow = 0;
-  int mycol = 0;
-  std::vector<std::size_t> pivots;
-  linalg::BasicMatrix<T> local;
-  bool ok = false;
-};
-
-template <typename T>
-void swap_row_segments(GridCtx<T>& ctx, linalg::BasicMatrix<T>& local,
-                       std::size_t ga, std::size_t gb, std::size_t c0,
-                       std::size_t c1) {
-  if (ga == gb || c1 <= c0) return;
-  const int prow_a = ctx.desc.owner_prow(ga);
-  const int prow_b = ctx.desc.owner_prow(gb);
-  const std::size_t width = c1 - c0;
-  if (prow_a == prow_b) {
-    if (ctx.myrow == prow_a) {
-      const std::size_t la = ctx.desc.local_row(ga);
-      const std::size_t lb = ctx.desc.local_row(gb);
-      linalg::swap_rows<T>(local.row(la).subspan(c0, width),
-                           local.row(lb).subspan(c0, width));
-      ctx.world->compute(movement<T>(2.0 * sizeof(T) *
-                                     static_cast<double>(width)));
-    }
-    return;
-  }
-  if (ctx.myrow != prow_a && ctx.myrow != prow_b) return;
-  const std::size_t lmine = ctx.desc.local_row(ctx.myrow == prow_a ? ga : gb);
-  const int peer = ctx.myrow == prow_a ? prow_b : prow_a;
-  ctx.swap_outgoing.assign(local.row(lmine).begin() + c0,
-                           local.row(lmine).begin() + c1);
-  ctx.swap_incoming.resize(width);
-  ctx.col_comm->sendrecv(std::span<const T>(ctx.swap_outgoing),
-                         std::span<T>(ctx.swap_incoming), peer, kTagSwap);
-  std::copy(ctx.swap_incoming.begin(), ctx.swap_incoming.end(),
-            local.row(lmine).begin() + c0);
-  ctx.world->compute(movement<T>(2.0 * sizeof(T) *
-                                 static_cast<double>(width)));
-}
-
-/// Factors the panel [k0, k0+w) inside its process column. Returns false as
-/// soon as a pivot fails the > 0 test (zero column in T precision, or NaN —
-/// the maxloc contract never lets NaN beat a numeric candidate, so a NaN
-/// result means nothing numeric was left). All ranks of the process column
-/// see the same allreduce value and bail at the same column.
-template <typename T>
-bool factor_panel(GridCtx<T>& ctx, linalg::BasicMatrix<T>& local,
-                  std::size_t k0, std::size_t w,
-                  std::vector<std::size_t>& pivots) {
-  const std::size_t lrows = local.rows();
-  std::vector<T> pivot_row;
-  std::vector<T> multipliers;
-  double panel_flops = 0.0;
-  bool ok = true;
-
-  for (std::size_t j = k0; j < k0 + w; ++j) {
-    const std::size_t lj = ctx.desc.local_col(j);
-
-    T best = T(-1);
-    long long best_row = static_cast<long long>(j);
-    for (std::size_t li = ctx.local_rows_below(j); li < lrows; ++li) {
-      const T v = std::fabs(local(li, lj));
-      if (v > best) {
-        best = v;
-        best_row =
-            static_cast<long long>(ctx.desc.global_row(li, ctx.myrow));
-      }
-    }
-    const xmpi::Comm::MaxLocT<T> piv =
-        ctx.col_comm->allreduce_maxloc(best, best_row);
-    if (!(piv.value > T(0))) {
-      ok = false;
-      break;
-    }
-    const std::size_t piv_row = static_cast<std::size_t>(piv.index);
-    pivots[j] = piv_row;
-
-    swap_row_segments(ctx, local, j, piv_row, ctx.local_cols_below(k0),
-                      ctx.local_cols_below(k0) + w);
-
-    const std::size_t seg = k0 + w - j;
-    pivot_row.resize(seg);
-    const int prow_j = ctx.desc.owner_prow(j);
-    if (ctx.myrow == prow_j) {
-      const std::size_t ljr = ctx.desc.local_row(j);
-      for (std::size_t c = 0; c < seg; ++c) {
-        pivot_row[c] = local(ljr, lj + c);
-      }
-    }
-    ctx.col_comm->bcast(std::span<T>(pivot_row), prow_j);
-
-    const T inv = T(1) / pivot_row[0];
-    const std::size_t lo = ctx.local_rows_below(j + 1);
-    multipliers.resize(lrows - lo);
-    for (std::size_t li = lo; li < lrows; ++li) {
-      local(li, lj) *= inv;
-      multipliers[li - lo] = local(li, lj);
-    }
-    if (lrows > lo && seg > 1) {
-      linalg::ger<T>(T(-1), multipliers,
-                     std::span<const T>(pivot_row.data() + 1, seg - 1),
-                     local.view().sub(lo, lj + 1, lrows - lo, seg - 1));
-    }
-    panel_flops += static_cast<double>((lrows - lo) * (2 * seg - 1)) +
-                   static_cast<double>(lrows - ctx.local_rows_below(j));
-  }
-  ctx.world->compute(cost_of<T>(kPanel, panel_flops));
-  return ok;
-}
-
-template <typename T>
-struct FactorWorkspace {
-  linalg::BasicMatrix<T> panel_slab;
-  linalg::BasicMatrix<T> u12;
-};
-
-/// One right-looking step. Returns false (collectively — the panel column's
-/// verdict is broadcast along the process rows before any dependent work)
-/// when the panel hit a dead pivot.
-template <typename T>
-bool factor_one_panel(GridCtx<T>& ctx, xmpi::Comm& comm,
-                      linalg::BasicMatrix<T>& local,
-                      std::vector<std::size_t>& pivots, std::size_t n,
-                      std::size_t nb, std::size_t k0,
-                      FactorWorkspace<T>& ws) {
-  const std::size_t lrows = ctx.desc.local_rows(ctx.myrow);
-  const std::size_t lcols = ctx.desc.local_cols(ctx.mycol);
-  const std::size_t w = std::min(nb, n - k0);
-  const int panel_pcol = ctx.desc.owner_pcol(k0);
-  const int prow_k = ctx.desc.owner_prow(k0);
-
-  bool panel_ok = true;
-  if (ctx.mycol == panel_pcol) {
-    comm.prof_phase_begin(Prec<T>::kFactorPanel);
-    panel_ok = factor_panel(ctx, local, k0, w, pivots);
-    comm.prof_phase_end();
-  }
-
-  comm.prof_phase_begin(Prec<T>::kPivotBcast);
-  int ok_flag = panel_ok ? 1 : 0;
-  ctx.row_comm->bcast_value(ok_flag, panel_pcol);
-  if (ok_flag == 0) {
-    comm.prof_phase_end();
-    return false;
-  }
-  ctx.row_comm->bcast(std::span<std::size_t>(pivots.data() + k0, w),
-                      panel_pcol);
-  comm.prof_phase_end();
-
-  comm.prof_phase_begin(Prec<T>::kRowSwap);
-  const std::size_t c_panel_lo = ctx.local_cols_below(k0);
-  const std::size_t c_panel_hi = ctx.local_cols_below(k0 + w);
-  for (std::size_t j = k0; j < k0 + w; ++j) {
-    swap_row_segments(ctx, local, j, pivots[j], 0, c_panel_lo);
-    swap_row_segments(ctx, local, j, pivots[j], c_panel_hi, lcols);
-  }
-  comm.prof_phase_end();
-
-  const std::size_t r_k0 = ctx.local_rows_below(k0);
-  const std::size_t slab_rows = lrows - r_k0;
-
-  if (slab_rows > 0) {
-    comm.prof_phase_begin(Prec<T>::kLpanelBcast);
-    ws.panel_slab = linalg::BasicMatrix<T>(slab_rows, w);
-    if (ctx.mycol == panel_pcol) {
-      for (std::size_t r = 0; r < slab_rows; ++r) {
-        for (std::size_t c = 0; c < w; ++c) {
-          ws.panel_slab(r, c) = local(r_k0 + r, c_panel_lo + c);
-        }
-      }
-    }
-    ctx.row_comm->bcast(std::span<T>(ws.panel_slab.flat()), panel_pcol);
-    comm.prof_phase_end();
-  }
-
-  if (k0 + w >= n) return true;
-
-  comm.prof_phase_begin(Prec<T>::kU12);
-  const std::size_t c_trail = ctx.local_cols_below(k0 + w);
-  const std::size_t trail_cols = lcols - c_trail;
-  ws.u12 = linalg::BasicMatrix<T>(w, std::max<std::size_t>(trail_cols, 1));
-  if (ctx.myrow == prow_k) {
-    if (trail_cols > 0) {
-      linalg::BasicView<const T> l11 = ws.panel_slab.view().sub(0, 0, w, w);
-      linalg::BasicView<T> a12 =
-          local.view().sub(r_k0, c_trail, w, trail_cols);
-      linalg::trsm_lower_unit<T>(l11, a12);
-      comm.compute(cost_of<T>(kTrsm, static_cast<double>(w) *
-                                         static_cast<double>(w) *
-                                         static_cast<double>(trail_cols)));
-      for (std::size_t r = 0; r < w; ++r) {
-        for (std::size_t c = 0; c < trail_cols; ++c) {
-          ws.u12(r, c) = local(r_k0 + r, c_trail + c);
-        }
-      }
-    }
-  }
-  if (trail_cols > 0) {
-    ctx.col_comm->bcast(std::span<T>(ws.u12.flat()), prow_k);
-  }
-  comm.prof_phase_end();
-
-  comm.prof_phase_begin(Prec<T>::kGemm);
-  const std::size_t r_lo2 = ctx.local_rows_below(k0 + w);
-  const std::size_t gemm_rows = lrows - r_lo2;
-  if (gemm_rows > 0 && trail_cols > 0) {
-    linalg::BasicView<const T> l21 =
-        ws.panel_slab.view().sub(r_lo2 - r_k0, 0, gemm_rows, w);
-    linalg::BasicView<const T> u12v = ws.u12.view().sub(0, 0, w, trail_cols);
-    linalg::BasicView<T> a22 =
-        local.view().sub(r_lo2, c_trail, gemm_rows, trail_cols);
-    linalg::gemm<T>(T(-1), l21, u12v, T(1), a22);
-    comm.compute(cost_of<T>(kGemm, 2.0 * static_cast<double>(gemm_rows) *
-                                       static_cast<double>(w) *
-                                       static_cast<double>(trail_cols)));
-  }
-  comm.prof_phase_end();
-  return true;
-}
-
-/// Distributed LU of the (entry_scale-scaled) generated system in precision
-/// T. On a dead pivot, returns with ok == false on every rank; the partial
-/// factors are meaningless and only the flag may be consulted.
-template <typename T>
-FactorState<T> factorize(xmpi::Comm& comm, xmpi::Comm& row_comm,
-                         xmpi::Comm& col_comm,
-                         const GeppMixedOptions& options) {
-  const std::size_t n = options.n;
-  FactorState<T> state;
-  state.desc = linalg::BlockCyclicDesc{
-      n, n, options.nb, options.nb,
-      linalg::ProcessGrid::squarest(comm.size())};
-  state.myrow = state.desc.grid.row_of(comm.rank());
-  state.mycol = state.desc.grid.col_of(comm.rank());
-
-  GridCtx<T> ctx{&comm,       &row_comm,   &col_comm, state.desc,
-                 state.myrow, state.mycol, {},        {}};
-
-  comm.prof_phase_begin(Prec<T>::kSetup);
-  const std::size_t lrows = state.desc.local_rows(state.myrow);
-  const std::size_t lcols = state.desc.local_cols(state.mycol);
-  state.local = linalg::BasicMatrix<T>(std::max<std::size_t>(lrows, 1),
-                                       std::max<std::size_t>(lcols, 1));
-  for (std::size_t li = 0; li < lrows; ++li) {
-    const std::size_t gi = state.desc.global_row(li, state.myrow);
-    for (std::size_t lj = 0; lj < lcols; ++lj) {
-      const std::size_t gj = state.desc.global_col(lj, state.mycol);
-      state.local(li, lj) = static_cast<T>(
-          options.entry_scale * linalg::system_entry(options.seed, n, gi, gj));
-    }
-  }
-  comm.memory_touch(static_cast<double>(state.local.size_bytes()));
-  comm.prof_phase_end();
-
-  state.pivots.assign(n, 0);
-  state.ok = true;
-  FactorWorkspace<T> workspace;
-  for (std::size_t k0 = 0; k0 < n; k0 += options.nb) {
-    if (!factor_one_panel(ctx, comm, state.local, state.pivots, n, options.nb,
-                          k0, workspace)) {
-      state.ok = false;
-      break;
-    }
-  }
-  return state;
-}
-
-/// pdgetrs in precision T against an fp64 right-hand side: the rhs is
-/// narrowed once, both substitutions run in T (reusing the retained
-/// factors), and the result is widened back. This is the correction solve
-/// of the refinement loop — its O(n^2) error is exactly what the next
-/// residual sweep measures and absorbs.
-template <typename T>
-std::vector<double> solve_with(const FactorState<T>& f, xmpi::Comm& world,
-                               xmpi::Comm& row_comm,
-                               std::vector<double> rhs) {
-  const std::size_t n = rhs.size();
-  world.prof_phase_begin(Prec<T>::kSolve);
-  const std::size_t nb = f.desc.nb;
-  const std::size_t lcols = f.desc.local_cols(f.mycol);
-  const auto local_rows_below = [&f](std::size_t g) {
-    return linalg::numroc(g, f.desc.mb, f.myrow, f.desc.grid.prows);
-  };
-  const auto local_cols_below = [&f](std::size_t g) {
-    return linalg::numroc(g, f.desc.nb, f.mycol, f.desc.grid.pcols);
-  };
-
-  for (std::size_t j = 0; j < n; ++j) {
-    if (f.pivots[j] != j) std::swap(rhs[j], rhs[f.pivots[j]]);
-  }
-  std::vector<T> y(rhs.begin(), rhs.end());
-
-  std::vector<T> partial;
-  std::vector<T> reduced;
-  std::vector<T> block_y;
-
-  for (std::size_t k0 = 0; k0 < n; k0 += nb) {
-    const std::size_t w = std::min(nb, n - k0);
-    const int prow_k = f.desc.owner_prow(k0);
-    const int pcol_k = f.desc.owner_pcol(k0);
-    partial.assign(w, T(0));
-    if (f.myrow == prow_k) {
-      const std::size_t r_k0 = local_rows_below(k0);
-      const std::size_t c_hi = local_cols_below(k0);
-      for (std::size_t r = 0; r < w; ++r) {
-        T sum = T(0);
-        for (std::size_t c = 0; c < c_hi; ++c) {
-          sum += f.local(r_k0 + r, c) * y[f.desc.global_col(c, f.mycol)];
-        }
-        partial[r] = sum;
-      }
-      world.compute(cost_of<T>(kSubstitution, 2.0 * static_cast<double>(w) *
-                                                  static_cast<double>(c_hi)));
-      reduced.assign(w, T(0));
-      row_comm.reduce(std::span<const T>(partial), std::span<T>(reduced),
-                      xmpi::ReduceOp::kSum, pcol_k);
-    }
-    block_y.assign(w, T(0));
-    if (f.myrow == prow_k && f.mycol == pcol_k) {
-      const std::size_t r_k0 = local_rows_below(k0);
-      const std::size_t c_k0 = local_cols_below(k0);
-      for (std::size_t i = 0; i < w; ++i) {
-        T v = y[k0 + i] - reduced[i];
-        for (std::size_t p = 0; p < i; ++p) {
-          v -= f.local(r_k0 + i, c_k0 + p) * block_y[p];
-        }
-        block_y[i] = v;
-      }
-      world.compute(cost_of<T>(kSubstitution, static_cast<double>(w * w)));
-    }
-    world.bcast(std::span<T>(block_y), f.desc.grid.rank_of(prow_k, pcol_k));
-    for (std::size_t i = 0; i < w; ++i) y[k0 + i] = block_y[i];
-  }
-
-  const std::size_t nblocks = (n + nb - 1) / nb;
-  for (std::size_t bk = nblocks; bk-- > 0;) {
-    const std::size_t k0 = bk * nb;
-    const std::size_t w = std::min(nb, n - k0);
-    const int prow_k = f.desc.owner_prow(k0);
-    const int pcol_k = f.desc.owner_pcol(k0);
-    partial.assign(w, T(0));
-    if (f.myrow == prow_k) {
-      const std::size_t r_k0 = local_rows_below(k0);
-      const std::size_t c_lo = local_cols_below(k0 + w);
-      for (std::size_t r = 0; r < w; ++r) {
-        T sum = T(0);
-        for (std::size_t c = c_lo; c < lcols; ++c) {
-          sum += f.local(r_k0 + r, c) * y[f.desc.global_col(c, f.mycol)];
-        }
-        partial[r] = sum;
-      }
-      world.compute(
-          cost_of<T>(kSubstitution, 2.0 * static_cast<double>(w) *
-                                        static_cast<double>(lcols - c_lo)));
-      reduced.assign(w, T(0));
-      row_comm.reduce(std::span<const T>(partial), std::span<T>(reduced),
-                      xmpi::ReduceOp::kSum, pcol_k);
-    }
-    block_y.assign(w, T(0));
-    if (f.myrow == prow_k && f.mycol == pcol_k) {
-      const std::size_t r_k0 = local_rows_below(k0);
-      const std::size_t c_k0 = local_cols_below(k0);
-      for (std::size_t ii = w; ii-- > 0;) {
-        T v = y[k0 + ii] - reduced[ii];
-        for (std::size_t p = ii + 1; p < w; ++p) {
-          v -= f.local(r_k0 + ii, c_k0 + p) * block_y[p];
-        }
-        block_y[ii] = v / f.local(r_k0 + ii, c_k0 + ii);
-      }
-      world.compute(cost_of<T>(kSubstitution, static_cast<double>(w * w)));
-    }
-    world.bcast(std::span<T>(block_y), f.desc.grid.rank_of(prow_k, pcol_k));
-    for (std::size_t i = 0; i < w; ++i) y[k0 + i] = block_y[i];
-  }
-
-  world.prof_phase_end();
-  return std::vector<double>(y.begin(), y.end());
+  return f;
 }
 
 /// The contiguous row block [r0, r1) this rank owns in the O(n^2) fp64
@@ -552,23 +113,20 @@ GeppMixedResult solve_gepp_mixed(xmpi::Comm& comm,
   PLIN_CHECK_MSG(options.max_iters > 0,
                  "gepp_mixed: max_iters must be positive");
 
-  const linalg::ProcessGrid grid =
-      linalg::ProcessGrid::squarest(comm.size());
-  xmpi::Comm row_comm = comm.split(comm.rank() / grid.pcols, comm.rank());
-  xmpi::Comm col_comm = comm.split(comm.rank() % grid.pcols, comm.rank());
+  pdlu::Grid grid = pdlu::make_grid(comm, n, options.nb);
 
   GeppMixedResult result;
-  result.grid = grid;
+  result.grid = grid.desc.grid;
 
   std::vector<double> b = linalg::generate_rhs(options.seed, n);
   comm.memory_touch(static_cast<double>(n * sizeof(double)));
 
-  FactorState<float> f32 =
-      factorize<float>(comm, row_comm, col_comm, options);
+  const std::optional<pdlu::Factors<float>> f32 =
+      factorize<float>(grid, options);
 
   bool converged = false;
-  if (f32.ok) {
-    result.x = solve_with(f32, comm, row_comm, b);
+  if (f32) {
+    result.x = pdlu::solve(grid, *f32, b);
 
     // Backward-stable target: ||r|| <= ||A|| ||x|| n eps64. With the fp32
     // factors carrying ~7 digits, each sweep multiplies the error by
@@ -592,7 +150,7 @@ GeppMixedResult solve_gepp_mixed(xmpi::Comm& comm,
     // replicated norms, so every rank (and every host configuration)
     // leaves the loop at the same iterate.
     for (int iter = 1; iter <= options.max_iters; ++iter) {
-      std::vector<double> d = solve_with(f32, comm, row_comm, std::move(r));
+      std::vector<double> d = pdlu::solve(grid, *f32, std::move(r));
       comm.prof_phase_begin("refine:correct");
       for (std::size_t i = 0; i < n; ++i) result.x[i] += d[i];
       comm.compute(cost_of<double>(kGemv, static_cast<double>(n)));
@@ -626,17 +184,16 @@ GeppMixedResult solve_gepp_mixed(xmpi::Comm& comm,
   }
 
   if (!converged) {
-    // Every rank reaches this branch together: f32.ok and the refinement
-    // norms are replicated values.
+    // Every rank reaches this branch together: the dead-pivot verdict and
+    // the refinement norms are replicated values. The fallback is a plain
+    // pdgesv factorization of the scaled system.
     result.fell_back = true;
-    FactorState<double> f64 =
-        factorize<double>(comm, row_comm, col_comm, options);
-    PLIN_CHECK_MSG(f64.ok, "gepp_mixed: matrix is singular");
-    result.x = solve_with(f64, comm, row_comm, b);
+    const std::optional<pdlu::Factors<double>> f64 =
+        factorize<double>(grid, options);
+    PLIN_CHECK_MSG(f64.has_value(), "gepp_mixed: matrix is singular");
+    result.x = pdlu::solve(grid, *f64, b);
     result.residual_norm = inf_norm(residual(comm, options, result.x, b));
   }
-
-  result.grid = f32.desc.grid;
   return result;
 }
 

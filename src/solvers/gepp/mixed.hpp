@@ -3,8 +3,9 @@
 // SLATE's gesvMixed.
 //
 // The O(n^3) work (panel factorization, TRSM, trailing GEMM) runs entirely
-// in fp32 on the same 2-D block-cyclic layout as pdgesv, halving the bytes
-// moved per flop and running against the cores' higher fp32 peak. The
+// in fp32: it is pdgesv's own distributed LU (pdlu.hpp) instantiated at
+// float, so it halves the bytes moved and charged per flop and runs against
+// the cores' higher fp32 peak. The
 // O(n^2) cleanup runs in fp64: per sweep, a distributed residual
 // r = b - A x (each rank regenerates its contiguous row block of A), a
 // correction solve against the retained fp32 factors, and x += d. The sweep
@@ -13,11 +14,15 @@
 //
 // When fp32 cannot carry the system — a pivot underflows to zero or NaN
 // during the factorization, or the residual stops halving between sweeps —
-// the solver falls back to one full fp64 factorization (same code path,
-// instantiated at double) and reports fell_back. Both the failure detection
-// and the fallback are collective and deterministic: every rank takes the
-// same branch at the same step, so results stay bit-identical across worker
-// counts and collective schedules.
+// the solver falls back to one full fp64 factorization and reports
+// fell_back. The fallback is the same LU at double, i.e. exactly pdgesv's
+// factorization, so it profiles under pdgesv's gepp:* phases (the fp32
+// work is gepp32:*). A dead pivot reaches every rank through the pivot
+// broadcast each panel already sends, with no separate verdict message.
+// Both the failure detection and the fallback are collective and
+// deterministic: every rank takes the same branch at the same step, so
+// results stay bit-identical across worker counts and collective
+// schedules.
 #pragma once
 
 #include <cstdint>

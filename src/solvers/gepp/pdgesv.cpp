@@ -1,374 +1,68 @@
 #include "solvers/gepp/pdgesv.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "linalg/generate.hpp"
-#include "linalg/kernels.hpp"
-#include "linalg/matrix.hpp"
 #include "support/error.hpp"
 
 namespace plin::solvers {
 namespace {
 
-constexpr int kTagSwap = 20;
-
-xmpi::ComputeCost cost_of(const KernelProfile& profile, double flops) {
-  return xmpi::ComputeCost{flops, flops * profile.bytes_per_flop,
-                           profile.efficiency};
+void check_options(const PdgesvOptions& options) {
+  PLIN_CHECK_MSG(options.n > 0, "pdgesv: system dimension must be positive");
+  PLIN_CHECK_MSG(options.nb > 0, "pdgesv: block size must be positive");
 }
 
-/// Pure data movement (row swaps): flops-free memory traffic.
-xmpi::ComputeCost movement(double bytes) {
-  return xmpi::ComputeCost{0.0, bytes, 1.0};
-}
-
-/// Everything the factorization needs to know about "me".
-struct GridContext {
-  xmpi::Comm* world;
-  xmpi::Comm row_comm;  // my process row, ranked by pcol
-  xmpi::Comm col_comm;  // my process column, ranked by prow
-  linalg::BlockCyclicDesc desc;
-  int myrow;
-  int mycol;
-  /// Reused row-swap exchange buffers: swap_row_segments runs O(n) times
-  /// per factorization, and per-call vectors made every pivot swap pay two
-  /// heap allocations on top of the message itself.
-  std::vector<double> swap_outgoing;
-  std::vector<double> swap_incoming;
-
-  std::size_t local_rows_below(std::size_t g) const {
-    return linalg::numroc(g, desc.mb, myrow, desc.grid.prows);
-  }
-  std::size_t local_cols_below(std::size_t g) const {
-    return linalg::numroc(g, desc.nb, mycol, desc.grid.pcols);
-  }
-};
-
-/// Exchanges (or locally swaps) the pieces of global rows ga and gb that
-/// fall in the local column range [c0, c1). Runs inside the process column.
-void swap_row_segments(GridContext& ctx, linalg::Matrix& local,
-                       std::size_t ga, std::size_t gb, std::size_t c0,
-                       std::size_t c1) {
-  if (ga == gb || c1 <= c0) return;
-  const int prow_a = ctx.desc.owner_prow(ga);
-  const int prow_b = ctx.desc.owner_prow(gb);
-  const std::size_t width = c1 - c0;
-  if (prow_a == prow_b) {
-    if (ctx.myrow == prow_a) {
-      const std::size_t la = ctx.desc.local_row(ga);
-      const std::size_t lb = ctx.desc.local_row(gb);
-      linalg::dswap(local.row(la).subspan(c0, width),
-                    local.row(lb).subspan(c0, width));
-      ctx.world->compute(movement(2.0 * 8.0 * static_cast<double>(width)));
-    }
-    return;
-  }
-  if (ctx.myrow != prow_a && ctx.myrow != prow_b) return;
-  const std::size_t lmine =
-      ctx.desc.local_row(ctx.myrow == prow_a ? ga : gb);
-  const int peer = ctx.myrow == prow_a ? prow_b : prow_a;
-  ctx.swap_outgoing.assign(local.row(lmine).begin() + c0,
-                           local.row(lmine).begin() + c1);
-  ctx.swap_incoming.resize(width);
-  ctx.col_comm.sendrecv(std::span<const double>(ctx.swap_outgoing),
-                        std::span<double>(ctx.swap_incoming), peer, kTagSwap);
-  std::copy(ctx.swap_incoming.begin(), ctx.swap_incoming.end(),
-            local.row(lmine).begin() + c0);
-  ctx.world->compute(movement(2.0 * 8.0 * static_cast<double>(width)));
-}
-
-/// Factors the panel [k0, k0+w) inside its process column, filling
-/// pivots[k0..k0+w). Only ranks with mycol == panel pcol call this.
-void factor_panel(GridContext& ctx, linalg::Matrix& local, std::size_t k0,
-                  std::size_t w, std::vector<std::size_t>& pivots) {
-  const std::size_t lrows = local.rows();
-  std::vector<double> pivot_row;
-  std::vector<double> multipliers;
-  double panel_flops = 0.0;
-
-  for (std::size_t j = k0; j < k0 + w; ++j) {
-    const std::size_t lj = ctx.desc.local_col(j);
-
-    // Distributed pivot search over rows >= j.
-    double best = -1.0;
-    long long best_row = static_cast<long long>(j);
-    for (std::size_t li = ctx.local_rows_below(j); li < lrows; ++li) {
-      const double v = std::fabs(local(li, lj));
-      if (v > best) {
-        best = v;
-        best_row = static_cast<long long>(ctx.desc.global_row(li, ctx.myrow));
-      }
-    }
-    const xmpi::Comm::MaxLoc piv = ctx.col_comm.allreduce_maxloc(best, best_row);
-    PLIN_CHECK_MSG(piv.value > 0.0, "pdgesv: matrix is singular");
-    const std::size_t piv_row = static_cast<std::size_t>(piv.index);
-    pivots[j] = piv_row;
-
-    // Swap rows j <-> piv_row within the panel columns.
-    swap_row_segments(ctx, local, j, piv_row, ctx.local_cols_below(k0),
-                      ctx.local_cols_below(k0) + w);
-
-    // Broadcast the (post-swap) pivot row segment [j, k0+w) down the
-    // process column; its first element is the pivot value.
-    const std::size_t seg = k0 + w - j;
-    pivot_row.resize(seg);
-    const int prow_j = ctx.desc.owner_prow(j);
-    if (ctx.myrow == prow_j) {
-      const std::size_t ljr = ctx.desc.local_row(j);
-      for (std::size_t c = 0; c < seg; ++c) {
-        pivot_row[c] = local(ljr, lj + c);
-      }
-    }
-    ctx.col_comm.bcast(std::span<double>(pivot_row), prow_j);
-
-    // Scale column j below the diagonal (gathering the strided multiplier
-    // column once), then rank-1-update the panel through the engine's dger.
-    // The charged flop formula below is unchanged: virtual time and energy
-    // do not depend on the host kernel path.
-    const double inv = 1.0 / pivot_row[0];
-    const std::size_t lo = ctx.local_rows_below(j + 1);
-    multipliers.resize(lrows - lo);
-    for (std::size_t li = lo; li < lrows; ++li) {
-      local(li, lj) *= inv;
-      multipliers[li - lo] = local(li, lj);
-    }
-    if (lrows > lo && seg > 1) {
-      linalg::dger(-1.0, multipliers,
-                   std::span<const double>(pivot_row.data() + 1, seg - 1),
-                   local.view().sub(lo, lj + 1, lrows - lo, seg - 1));
-    }
-    panel_flops += static_cast<double>((lrows - lo) * (2 * seg - 1)) +
-                   static_cast<double>(lrows - ctx.local_rows_below(j));
-  }
-  ctx.world->compute(cost_of(kPanel, panel_flops));
-}
-
-/// Workspace reused across panels (receive buffers).
-struct FactorWorkspace {
-  linalg::Matrix panel_slab;  // received L panel (my local rows >= k0, w)
-  linalg::Matrix u12;         // received U12 block (w x my trailing cols)
-};
-
-/// One right-looking factorization step: panel, pivot exchange, row
-/// interchanges, slab/U12 broadcasts and the trailing GEMM.
-void factor_one_panel(GridContext& ctx, xmpi::Comm& comm,
-                      linalg::Matrix& local,
-                      std::vector<std::size_t>& pivots, std::size_t n,
-                      std::size_t nb, std::size_t k0, FactorWorkspace& ws) {
-  const std::size_t lrows = ctx.desc.local_rows(ctx.myrow);
-  const std::size_t lcols = ctx.desc.local_cols(ctx.mycol);
-  const std::size_t w = std::min(nb, n - k0);
-  const int panel_pcol = ctx.desc.owner_pcol(k0);
-  const int prow_k = ctx.desc.owner_prow(k0);
-
-  if (ctx.mycol == panel_pcol) {
-    comm.prof_phase_begin("gepp:factor_panel");
-    factor_panel(ctx, local, k0, w, pivots);
-    comm.prof_phase_end();
-  }
-
-  // Pivot indices travel along the process row so every process column
-  // can apply the interchanges (and every rank learns the permutation
-  // for the solve phase).
-  comm.prof_phase_begin("gepp:pivot_bcast");
-  ctx.row_comm.bcast(std::span<std::size_t>(pivots.data() + k0, w),
-                     panel_pcol);
-  comm.prof_phase_end();
-
-  // Apply this panel's interchanges to the leading and trailing columns.
-  comm.prof_phase_begin("gepp:row_swap");
-  const std::size_t c_panel_lo = ctx.local_cols_below(k0);
-  const std::size_t c_panel_hi = ctx.local_cols_below(k0 + w);
-  for (std::size_t j = k0; j < k0 + w; ++j) {
-    swap_row_segments(ctx, local, j, pivots[j], 0, c_panel_lo);
-    swap_row_segments(ctx, local, j, pivots[j], c_panel_hi, lcols);
-  }
-  comm.prof_phase_end();
-
-  const std::size_t r_k0 = ctx.local_rows_below(k0);
-  const std::size_t slab_rows = lrows - r_k0;
-
-  // L panel travels along the process row.
-  if (slab_rows > 0) {
-    comm.prof_phase_begin("gepp:lpanel_bcast");
-    ws.panel_slab = linalg::Matrix(slab_rows, w);
-    if (ctx.mycol == panel_pcol) {
-      for (std::size_t r = 0; r < slab_rows; ++r) {
-        for (std::size_t c = 0; c < w; ++c) {
-          ws.panel_slab(r, c) = local(r_k0 + r, c_panel_lo + c);
-        }
-      }
-    }
-    ctx.row_comm.bcast(std::span<double>(ws.panel_slab.flat()), panel_pcol);
-    comm.prof_phase_end();
-  }
-
-  if (k0 + w >= n) return;
-
-  // U12 := L11^{-1} A12 inside the pivot process row, then down the
-  // process columns.
-  comm.prof_phase_begin("gepp:u12");
-  const std::size_t c_trail = ctx.local_cols_below(k0 + w);
-  const std::size_t trail_cols = lcols - c_trail;
-  ws.u12 = linalg::Matrix(w, std::max<std::size_t>(trail_cols, 1));
-  if (ctx.myrow == prow_k) {
-    if (trail_cols > 0) {
-      linalg::ConstMatrixView l11 = ws.panel_slab.view().sub(0, 0, w, w);
-      linalg::MatrixView a12 = local.view().sub(r_k0, c_trail, w, trail_cols);
-      linalg::dtrsm_lower_unit(l11, a12);
-      comm.compute(cost_of(kTrsm,
-                           static_cast<double>(w) * static_cast<double>(w) *
-                               static_cast<double>(trail_cols)));
-      for (std::size_t r = 0; r < w; ++r) {
-        for (std::size_t c = 0; c < trail_cols; ++c) {
-          ws.u12(r, c) = local(r_k0 + r, c_trail + c);
-        }
-      }
-    }
-  }
-  if (trail_cols > 0) {
-    ctx.col_comm.bcast(std::span<double>(ws.u12.flat()), prow_k);
-  }
-  comm.prof_phase_end();
-
-  // Trailing update: A22 -= L21 * U12 with my local pieces.
-  comm.prof_phase_begin("gepp:gemm");
-  const std::size_t r_lo2 = ctx.local_rows_below(k0 + w);
-  const std::size_t gemm_rows = lrows - r_lo2;
-  if (gemm_rows > 0 && trail_cols > 0) {
-    linalg::ConstMatrixView l21 =
-        ws.panel_slab.view().sub(r_lo2 - r_k0, 0, gemm_rows, w);
-    linalg::ConstMatrixView u12v = ws.u12.view().sub(0, 0, w, trail_cols);
-    linalg::MatrixView a22 =
-        local.view().sub(r_lo2, c_trail, gemm_rows, trail_cols);
-    linalg::dgemm(-1.0, l21, u12v, 1.0, a22);
-    comm.compute(cost_of(kGemm, 2.0 * static_cast<double>(gemm_rows) *
-                                    static_cast<double>(w) *
-                                    static_cast<double>(trail_cols)));
-  }
-  comm.prof_phase_end();
-}
+constexpr const char* kSingular = "pdgesv: matrix is singular";
 
 }  // namespace
 
 PdluFactorization pdgetrf(xmpi::Comm& comm, const PdgesvOptions& options) {
-  const std::size_t n = options.n;
-  PLIN_CHECK_MSG(n > 0, "pdgesv: system dimension must be positive");
-  PLIN_CHECK_MSG(options.nb > 0, "pdgesv: block size must be positive");
-
-  GridContext ctx{
-      &comm,
-      comm.split(comm.rank() / linalg::ProcessGrid::squarest(comm.size()).pcols,
-                 comm.rank()),
-      comm.split(comm.rank() % linalg::ProcessGrid::squarest(comm.size()).pcols,
-                 comm.rank()),
-      linalg::BlockCyclicDesc{n, n, options.nb, options.nb,
-                              linalg::ProcessGrid::squarest(comm.size())},
-      0,
-      0,
-      {},
-      {}};
-  ctx.myrow = ctx.desc.grid.row_of(comm.rank());
-  ctx.mycol = ctx.desc.grid.col_of(comm.rank());
-
-  // ---- allocation + generation ("matrix allocation" phase) -----------------
-  comm.prof_phase_begin("gepp:setup");
-  const std::size_t lrows = ctx.desc.local_rows(ctx.myrow);
-  const std::size_t lcols = ctx.desc.local_cols(ctx.mycol);
-  linalg::Matrix local(std::max<std::size_t>(lrows, 1),
-                       std::max<std::size_t>(lcols, 1));
-  for (std::size_t li = 0; li < lrows; ++li) {
-    const std::size_t gi = ctx.desc.global_row(li, ctx.myrow);
-    for (std::size_t lj = 0; lj < lcols; ++lj) {
-      const std::size_t gj = ctx.desc.global_col(lj, ctx.mycol);
-      local(li, lj) = linalg::system_entry(options.seed, n, gi, gj);
-    }
+  check_options(options);
+  pdlu::Grid grid = pdlu::make_grid(comm, options.n, options.nb);
+  pdlu::Factors<double> factors =
+      pdlu::generate<double>(grid, options.seed, 1.0);
+  pdlu::Workspace<double> workspace;
+  for (std::size_t k0 = 0; k0 < options.n; k0 += options.nb) {
+    PLIN_CHECK_MSG(pdlu::factor_one_panel(grid, factors, k0, workspace),
+                   kSingular);
   }
-  comm.memory_touch(static_cast<double>(local.size_bytes()));
-  comm.prof_phase_end();
-
-  std::vector<std::size_t> pivots(n, 0);
-  FactorWorkspace workspace;
-  for (std::size_t k0 = 0; k0 < n; k0 += options.nb) {
-    factor_one_panel(ctx, comm, local, pivots, n, options.nb, k0, workspace);
-  }
-
-  PdluFactorization factorization(comm, ctx.row_comm, ctx.col_comm);
-  factorization.n_ = n;
-  factorization.nb_ = options.nb;
-  factorization.desc_ = ctx.desc;
-  factorization.myrow_ = ctx.myrow;
-  factorization.mycol_ = ctx.mycol;
-  factorization.pivots_ = std::move(pivots);
-  factorization.local_ = std::move(local);
-  return factorization;
+  return PdluFactorization(std::move(grid), std::move(factors));
 }
 
 PdgetrfFtResult pdgetrf_checkpointed(xmpi::Comm& comm,
                                      const PdgetrfFtOptions& options) {
-  const std::size_t n = options.base.n;
-  PLIN_CHECK_MSG(n > 0, "pdgesv: system dimension must be positive");
-  PLIN_CHECK_MSG(options.base.nb > 0, "pdgesv: block size must be positive");
+  check_options(options.base);
   PLIN_CHECK_MSG(options.checkpoint_every_panels > 0,
                  "pdgetrf_checkpointed: checkpoint interval must be > 0");
-
-  GridContext ctx{
-      &comm,
-      comm.split(comm.rank() / linalg::ProcessGrid::squarest(comm.size()).pcols,
-                 comm.rank()),
-      comm.split(comm.rank() % linalg::ProcessGrid::squarest(comm.size()).pcols,
-                 comm.rank()),
-      linalg::BlockCyclicDesc{n, n, options.base.nb, options.base.nb,
-                              linalg::ProcessGrid::squarest(comm.size())},
-      0,
-      0,
-      {},
-      {}};
-  ctx.myrow = ctx.desc.grid.row_of(comm.rank());
-  ctx.mycol = ctx.desc.grid.col_of(comm.rank());
-
-  comm.prof_phase_begin("gepp:setup");
-  const std::size_t lrows = ctx.desc.local_rows(ctx.myrow);
-  const std::size_t lcols = ctx.desc.local_cols(ctx.mycol);
-  linalg::Matrix local(std::max<std::size_t>(lrows, 1),
-                       std::max<std::size_t>(lcols, 1));
-  for (std::size_t li = 0; li < lrows; ++li) {
-    const std::size_t gi = ctx.desc.global_row(li, ctx.myrow);
-    for (std::size_t lj = 0; lj < lcols; ++lj) {
-      const std::size_t gj = ctx.desc.global_col(lj, ctx.mycol);
-      local(li, lj) = linalg::system_entry(options.base.seed, n, gi, gj);
-    }
-  }
-  comm.memory_touch(static_cast<double>(local.size_bytes()));
-  comm.prof_phase_end();
-
-  std::vector<std::size_t> pivots(n, 0);
-  FactorWorkspace workspace;
+  const std::size_t n = options.base.n;
+  const std::size_t nb = options.base.nb;
+  pdlu::Grid grid = pdlu::make_grid(comm, n, nb);
+  pdlu::Factors<double> factors =
+      pdlu::generate<double>(grid, options.base.seed, 1.0);
+  pdlu::Workspace<double> workspace;
 
   // Coordinated in-memory checkpoint: this rank's tiles + the pivot array.
-  linalg::Matrix ckpt_local = local;
-  std::vector<std::size_t> ckpt_pivots = pivots;
+  pdlu::Factors<double> ckpt = factors;
   std::size_t ckpt_panel = 0;
   linalg::Matrix partner_snapshot;  // partner's tiles (partner_copy mode)
   constexpr int kTagCheckpoint = 21;
 
-  PdgetrfFtResult result{PdluFactorization(comm, ctx.row_comm, ctx.col_comm),
-                         0, 0, 0};
-
-  const std::size_t nb = options.base.nb;
+  int checkpoints_taken = 0;
+  int restarts = 0;
+  std::size_t panels_recomputed = 0;
   const std::size_t nblocks = (n + nb - 1) / nb;
   bool fault_pending = options.inject_fault_at_panel.has_value();
   std::size_t next_checkpoint = 0;
+  const double state_bytes = static_cast<double>(factors.local.size_bytes());
 
   for (std::size_t panel = 0; panel < nblocks;) {
     if (panel == next_checkpoint) {
       // Snapshot: one read + one write of the full local state.
       comm.prof_phase_begin("gepp:checkpoint");
-      ckpt_local = local;
-      ckpt_pivots = pivots;
+      ckpt = factors;
       ckpt_panel = panel;
-      comm.memory_touch(2.0 * static_cast<double>(local.size_bytes()));
+      comm.memory_touch(2.0 * state_bytes);
       if (options.partner_copy && comm.size() > 1) {
         // Exchange snapshots with the XOR partner (diskless partner
         // checkpointing): the snapshot actually crosses the network.
@@ -378,19 +72,19 @@ PdgetrfFtResult pdgetrf_checkpointed(xmpi::Comm& comm,
           // The partner sits in a different grid column/row, so its tile
           // block has its own dimensions.
           const std::size_t partner_rows = std::max<std::size_t>(
-              ctx.desc.local_rows(ctx.desc.grid.row_of(partner)), 1);
+              grid.desc.local_rows(grid.desc.grid.row_of(partner)), 1);
           const std::size_t partner_cols = std::max<std::size_t>(
-              ctx.desc.local_cols(ctx.desc.grid.col_of(partner)), 1);
+              grid.desc.local_cols(grid.desc.grid.col_of(partner)), 1);
           if (partner_snapshot.rows() != partner_rows ||
               partner_snapshot.cols() != partner_cols) {
             partner_snapshot = linalg::Matrix(partner_rows, partner_cols);
           }
-          comm.sendrecv(std::span<const double>(ckpt_local.flat()),
+          comm.sendrecv(std::span<const double>(ckpt.local.flat()),
                         std::span<double>(partner_snapshot.flat()), partner,
                         kTagCheckpoint);
         }
       }
-      ++result.checkpoints_taken;
+      ++checkpoints_taken;
       next_checkpoint += options.checkpoint_every_panels;
       comm.prof_phase_end();
     }
@@ -399,141 +93,26 @@ PdgetrfFtResult pdgetrf_checkpointed(xmpi::Comm& comm,
       // coordinated checkpoint and recomputes the panels since.
       fault_pending = false;
       comm.prof_phase_begin("gepp:rollback");
-      local = ckpt_local;
-      pivots = ckpt_pivots;
-      comm.memory_touch(2.0 * static_cast<double>(local.size_bytes()));
+      factors = ckpt;
+      comm.memory_touch(2.0 * state_bytes);
       comm.prof_phase_end();
-      ++result.restarts;
-      result.panels_recomputed += panel - ckpt_panel;
+      ++restarts;
+      panels_recomputed += panel - ckpt_panel;
       panel = ckpt_panel;
       continue;
     }
-    factor_one_panel(ctx, comm, local, pivots, n, nb, panel * nb, workspace);
+    PLIN_CHECK_MSG(pdlu::factor_one_panel(grid, factors, panel * nb, workspace),
+                   kSingular);
     ++panel;
   }
 
-  result.factorization.n_ = n;
-  result.factorization.nb_ = nb;
-  result.factorization.desc_ = ctx.desc;
-  result.factorization.myrow_ = ctx.myrow;
-  result.factorization.mycol_ = ctx.mycol;
-  result.factorization.pivots_ = std::move(pivots);
-  result.factorization.local_ = std::move(local);
-  return result;
+  return PdgetrfFtResult{
+      PdluFactorization(std::move(grid), std::move(factors)),
+      checkpoints_taken, restarts, panels_recomputed};
 }
 
 std::vector<double> PdluFactorization::solve(std::vector<double> rhs) const {
-  const std::size_t n = n_;
-  PLIN_CHECK_MSG(rhs.size() == n, "pdgetrs: rhs size mismatch");
-  world_.prof_phase_begin("gepp:solve");
-  const std::size_t nb = nb_;
-  const std::size_t lcols = desc_.local_cols(mycol_);
-  const auto local_rows_below = [this](std::size_t g) {
-    return linalg::numroc(g, desc_.mb, myrow_, desc_.grid.prows);
-  };
-  const auto local_cols_below = [this](std::size_t g) {
-    return linalg::numroc(g, desc_.nb, mycol_, desc_.grid.pcols);
-  };
-
-  // Apply the pivot permutation (known everywhere) locally.
-  for (std::size_t j = 0; j < n; ++j) {
-    if (pivots_[j] != j) std::swap(rhs[j], rhs[pivots_[j]]);
-  }
-
-  std::vector<double> partial;
-  std::vector<double> reduced;
-  std::vector<double> block_y;
-
-  // Forward substitution with unit L, block by block.
-  for (std::size_t k0 = 0; k0 < n; k0 += nb) {
-    const std::size_t w = std::min(nb, n - k0);
-    const int prow_k = desc_.owner_prow(k0);
-    const int pcol_k = desc_.owner_pcol(k0);
-    partial.assign(w, 0.0);
-    if (myrow_ == prow_k) {
-      const std::size_t r_k0 = local_rows_below(k0);
-      const std::size_t c_hi = local_cols_below(k0);
-      for (std::size_t r = 0; r < w; ++r) {
-        double sum = 0.0;
-        for (std::size_t c = 0; c < c_hi; ++c) {
-          sum += local_(r_k0 + r, c) * rhs[desc_.global_col(c, mycol_)];
-        }
-        partial[r] = sum;
-      }
-      world_.compute(cost_of(kSubstitution,
-                             2.0 * static_cast<double>(w) *
-                                 static_cast<double>(c_hi)));
-      reduced.assign(w, 0.0);
-      row_comm_.reduce(std::span<const double>(partial),
-                       std::span<double>(reduced), xmpi::ReduceOp::kSum,
-                       pcol_k);
-    }
-    block_y.assign(w, 0.0);
-    if (myrow_ == prow_k && mycol_ == pcol_k) {
-      const std::size_t r_k0 = local_rows_below(k0);
-      const std::size_t c_k0 = local_cols_below(k0);
-      for (std::size_t i = 0; i < w; ++i) {
-        double v = rhs[k0 + i] - reduced[i];
-        for (std::size_t p = 0; p < i; ++p) {
-          v -= local_(r_k0 + i, c_k0 + p) * block_y[p];
-        }
-        block_y[i] = v;
-      }
-      world_.compute(cost_of(kSubstitution, static_cast<double>(w * w)));
-    }
-    world_.bcast(std::span<double>(block_y),
-                 desc_.grid.rank_of(prow_k, pcol_k));
-    for (std::size_t i = 0; i < w; ++i) rhs[k0 + i] = block_y[i];
-  }
-
-  // Backward substitution with U.
-  const std::size_t nblocks = (n + nb - 1) / nb;
-  for (std::size_t bk = nblocks; bk-- > 0;) {
-    const std::size_t k0 = bk * nb;
-    const std::size_t w = std::min(nb, n - k0);
-    const int prow_k = desc_.owner_prow(k0);
-    const int pcol_k = desc_.owner_pcol(k0);
-    partial.assign(w, 0.0);
-    if (myrow_ == prow_k) {
-      const std::size_t r_k0 = local_rows_below(k0);
-      const std::size_t c_lo = local_cols_below(k0 + w);
-      for (std::size_t r = 0; r < w; ++r) {
-        double sum = 0.0;
-        for (std::size_t c = c_lo; c < lcols; ++c) {
-          sum += local_(r_k0 + r, c) * rhs[desc_.global_col(c, mycol_)];
-        }
-        partial[r] = sum;
-      }
-      world_.compute(cost_of(kSubstitution,
-                             2.0 * static_cast<double>(w) *
-                                 static_cast<double>(lcols - c_lo)));
-      reduced.assign(w, 0.0);
-      row_comm_.reduce(std::span<const double>(partial),
-                       std::span<double>(reduced), xmpi::ReduceOp::kSum,
-                       pcol_k);
-    }
-    block_y.assign(w, 0.0);
-    if (myrow_ == prow_k && mycol_ == pcol_k) {
-      const std::size_t r_k0 = local_rows_below(k0);
-      const std::size_t c_k0 = local_cols_below(k0);
-      for (std::size_t ii = w; ii-- > 0;) {
-        double v = rhs[k0 + ii] - reduced[ii];
-        for (std::size_t p = ii + 1; p < w; ++p) {
-          v -= local_(r_k0 + ii, c_k0 + p) * block_y[p];
-        }
-        const double diag = local_(r_k0 + ii, c_k0 + ii);
-        PLIN_CHECK_MSG(diag != 0.0, "pdgesv: singular U block");
-        block_y[ii] = v / diag;
-      }
-      world_.compute(cost_of(kSubstitution, static_cast<double>(w * w)));
-    }
-    world_.bcast(std::span<double>(block_y),
-                 desc_.grid.rank_of(prow_k, pcol_k));
-    for (std::size_t i = 0; i < w; ++i) rhs[k0 + i] = block_y[i];
-  }
-
-  world_.prof_phase_end();
-  return rhs;
+  return pdlu::solve(grid_, factors_, std::move(rhs));
 }
 
 PdgesvResult solve_pdgesv(xmpi::Comm& comm, const PdgesvOptions& options) {

@@ -15,6 +15,13 @@
 //   * the solve phase keeps the right-hand side replicated: per diagonal
 //     block, partial dot products reduce along the process row, the block
 //     owner solves the small triangle and broadcasts the solution piece.
+//
+// The factorization and the solve are the fp64 instantiation of the one
+// precision-templated LU in pdlu.hpp, which gepp_mixed runs at float for
+// its fp32 factorization and at double for its fallback. A singular matrix
+// (a pivot column with no nonzero candidate) reaches every rank through
+// the pivot-index broadcast, so pdgetrf throws "pdgesv: matrix is
+// singular" on all ranks together.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +29,8 @@
 #include <vector>
 
 #include "linalg/blockcyclic.hpp"
-#include "linalg/matrix.hpp"
 #include "solvers/efficiency.hpp"
+#include "solvers/gepp/pdlu.hpp"
 #include "xmpi/comm.hpp"
 
 namespace plin::solvers {
@@ -32,8 +39,6 @@ struct PdgesvOptions {
   std::size_t n = 0;       // system dimension
   std::uint64_t seed = 1;  // generator seed (same system on every rank)
   std::size_t nb = kDefaultBlock;
-  bool broadcast_solution = true;  // kept for interface symmetry; the solve
-                                   // phase already replicates x everywhere
 };
 
 struct PdgesvResult {
@@ -59,10 +64,10 @@ PdgetrfFtResult pdgetrf_checkpointed(xmpi::Comm& comm,
 /// plus collectives (the standard LAPACK-style amortization).
 class PdluFactorization {
  public:
-  std::size_t n() const { return n_; }
-  std::size_t nb() const { return nb_; }
-  const linalg::ProcessGrid& grid() const { return desc_.grid; }
-  const std::vector<std::size_t>& pivots() const { return pivots_; }
+  std::size_t n() const { return grid_.desc.n; }
+  std::size_t nb() const { return grid_.desc.nb; }
+  const linalg::ProcessGrid& grid() const { return grid_.desc.grid; }
+  const std::vector<std::size_t>& pivots() const { return factors_.pivots; }
 
   /// pdgetrs: solves A x = rhs using this factorization. `rhs` must be the
   /// full-length right-hand side, replicated on every rank (all ranks pass
@@ -73,28 +78,16 @@ class PdluFactorization {
  private:
   friend PdluFactorization pdgetrf(xmpi::Comm& comm,
                                    const PdgesvOptions& options);
-  friend struct PdgetrfFtResult;
   friend PdgetrfFtResult pdgetrf_checkpointed(xmpi::Comm& comm,
                                               const PdgetrfFtOptions& options);
 
-  PdluFactorization(xmpi::Comm world, xmpi::Comm row_comm,
-                    xmpi::Comm col_comm)
-      : world_(std::move(world)),
-        row_comm_(std::move(row_comm)),
-        col_comm_(std::move(col_comm)) {}
+  PdluFactorization(pdlu::Grid grid, pdlu::Factors<double> factors)
+      : grid_(std::move(grid)), factors_(std::move(factors)) {}
 
-  std::size_t n_ = 0;
-  std::size_t nb_ = 0;
-  linalg::BlockCyclicDesc desc_;
-  int myrow_ = 0;
-  int mycol_ = 0;
-  std::vector<std::size_t> pivots_;
-  linalg::Matrix local_;  // factored local tiles (L below, U on/above)
   // Communicators captured at factorization time; valid for the lifetime
   // of the xmpi run that produced them.
-  mutable xmpi::Comm world_;
-  mutable xmpi::Comm row_comm_;
-  mutable xmpi::Comm col_comm_;
+  mutable pdlu::Grid grid_;
+  pdlu::Factors<double> factors_;  // factored local tiles + pivots
 };
 
 /// Distributed LU factorization with partial pivoting of the system matrix

@@ -573,7 +573,9 @@ void Comm::gather(std::span<const T> data, std::span<T> out, int root) {
     std::span<T> slot = out.subspan(
         static_cast<std::size_t>(src) * data.size(), data.size());
     if (src == rank_) {
-      std::memcpy(slot.data(), data.data(), data.size() * sizeof(T));
+      if (!data.empty()) {
+        std::memcpy(slot.data(), data.data(), slot.size_bytes());
+      }
     } else {
       recv(slot, src, internal_tag::kGather);
     }

@@ -127,7 +127,7 @@ INSTANTIATE_TEST_SUITE_P(
                       TierCase{384, 16, hw::LoadLayout::kFullLoad},
                       TierCase{512, 16, hw::LoadLayout::kFullLoad}),
     [](const ::testing::TestParamInfo<TierCase>& info) {
-      return "n" + std::to_string(info.param.n) + "_r" +
+      return std::string("n") + std::to_string(info.param.n) + "_r" +
              std::to_string(info.param.ranks) + "_" +
              std::string(hw::to_string(info.param.layout) ==
                                  std::string("full-load")

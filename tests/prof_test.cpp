@@ -17,6 +17,7 @@
 #include "prof/analysis.hpp"
 #include "prof/export.hpp"
 #include "prof/recorder.hpp"
+#include "solvers/gepp/mixed.hpp"
 #include "solvers/gepp/pdgesv.hpp"
 #include "solvers/ime/imep.hpp"
 #include "support/json.hpp"
@@ -179,6 +180,37 @@ TEST(ProfTest, EnergyAttributionSumsExactlyToLedgerTotals) {
   }
   EXPECT_TRUE(saw_gemm);
   EXPECT_TRUE(saw_panel);
+}
+
+TEST(ProfTest, Fp32GemmChargesHalfTheDramBytesOfFp64) {
+  // On one rank (no messages) the charged GEMM flops depend only on n and
+  // nb, so the fp32 trailing updates of gepp_mixed must stream exactly half
+  // the DRAM bytes, hence half the DRAM joules, of pdgesv's fp64 ones.
+  const auto gemm_dram_j = [](const char* phase, auto&& solve) {
+    const xmpi::RunResult result =
+        xmpi::Runtime::run(mini_config(1), [&](xmpi::Comm& comm) {
+          solve(comm);
+        });
+    double dram_j = -1.0;
+    for (const PhaseEnergyRow& row : attribute_energy(*result.trace).rows) {
+      if (row.phase == phase) dram_j = row.dram_j;
+    }
+    return dram_j;
+  };
+  const double fp64 = gemm_dram_j("gepp:gemm", [](xmpi::Comm& comm) {
+    solvers::PdgesvOptions options;
+    options.n = 256;
+    options.nb = 32;
+    (void)solve_pdgesv(comm, options);
+  });
+  const double fp32 = gemm_dram_j("gepp32:gemm", [](xmpi::Comm& comm) {
+    solvers::GeppMixedOptions options;
+    options.n = 256;
+    options.nb = 32;
+    EXPECT_FALSE(solve_gepp_mixed(comm, options).fell_back);
+  });
+  EXPECT_GT(fp32, 0.0);
+  EXPECT_EQ(2.0 * fp32, fp64);
 }
 
 TEST(ProfTest, CommMatrixMatchesRuntimeTrafficCounters) {

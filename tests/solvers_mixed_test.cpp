@@ -5,8 +5,11 @@
 // numerics).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "linalg/kernels.hpp"
 #include "solvers/gepp/mixed.hpp"
 #include "solvers/gepp/sequential.hpp"
+#include "support/error.hpp"
 #include "xmpi/runtime.hpp"
 
 namespace plin::solvers {
@@ -224,6 +228,75 @@ TEST(GeppMixedTest, FallbackDecisionIsBitIdenticalAcrossHosts) {
     EXPECT_EQ(base.fell_back, other.fell_back);
     EXPECT_EQ(base.iters, other.iters);
     EXPECT_TRUE(bitwise_equal(base.x, other.x));
+  }
+}
+
+TEST(GeppMixedTest, SingularSystemThrowsOnEveryRank) {
+  // An all-zero matrix kills the first pivot in fp32 and again in the fp64
+  // fallback. The dead-pivot verdict must reach every rank through the
+  // pivot broadcast: each rank throws "matrix is singular" by itself, so
+  // the run ends without any rank left blocked (no deadlock report).
+  for (const int ranks : {1, 4}) {
+    SCOPED_TRACE(ranks);
+    GeppMixedOptions options;
+    options.n = 48;
+    options.seed = 21;
+    options.nb = 8;
+    options.entry_scale = 0.0;
+    std::atomic<int> singular{0};
+    const auto body = [&](xmpi::Comm& comm) {
+      try {
+        (void)solve_gepp_mixed(comm, options);
+      } catch (const Error& e) {
+        if (std::string(e.what()).find("matrix is singular") !=
+            std::string::npos) {
+          ++singular;
+        }
+      }
+    };
+    EXPECT_NO_THROW(xmpi::Runtime::run(mini_config(ranks), body));
+    EXPECT_EQ(singular.load(), ranks);
+  }
+}
+
+std::string fingerprint(const MixedRun& run) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64 over the x bits
+  const auto* bytes = reinterpret_cast<const unsigned char*>(run.x.data());
+  for (std::size_t i = 0; i < run.x.size() * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "x=%016llx iters=%d fell_back=%d",
+                static_cast<unsigned long long>(h), run.iters,
+                run.fell_back ? 1 : 0);
+  return buf;
+}
+
+TEST(GeppMixedTest, SolutionsArePinned) {
+  // The fp32 factorization, its refinement and the fp64 fallback all run
+  // the shared block-cyclic LU; these fingerprints pin their numerics on a
+  // 2x2 and a 2x3 grid. The last two cases take the fallback (entries
+  // that flush to zero in fp32).
+  struct Pin {
+    int ranks;
+    double entry_scale;
+    const char* expected;
+  };
+  const Pin pins[] = {
+      {4, 1.0, "x=48eb47b832eca703 iters=3 fell_back=0"},
+      {6, 1.0, "x=58b4b4086fbc68dc iters=3 fell_back=0"},
+      {4, 1e-46, "x=37f81d9a24bfc072 iters=0 fell_back=1"},
+      {6, 1e-46, "x=0c3460e48c8cbb2f iters=0 fell_back=1"},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.ranks);
+    GeppMixedOptions options;
+    options.n = 256;
+    options.seed = 17;
+    options.nb = 32;
+    options.entry_scale = pin.entry_scale;
+    EXPECT_EQ(fingerprint(run_mixed(mini_config(pin.ranks), options)),
+              pin.expected);
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <type_traits>
 
 #include "hwmodel/placement.hpp"
@@ -229,6 +231,121 @@ TEST(PdgetrfCheckpointTest, CheckpointingCostsTimeAndEnergy) {
   const xmpi::RunResult ft = run(true);
   EXPECT_GT(ft.duration_s, plain.duration_s);
   EXPECT_GT(ft.energy.total_j(), plain.energy.total_j());
+}
+
+/// FNV-1a 64 folded over the bytes of `v`.
+template <typename T>
+std::uint64_t fnv1a(std::uint64_t h, const std::vector<T>& v) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/// Bit-exact fingerprint of one run: digests of the solution bits and the
+/// pivot array, the virtual duration and total energy as hex floats, and
+/// the data-message count.
+std::string fingerprint(const xmpi::RunResult& run, std::uint64_t x_digest,
+                        const std::vector<std::size_t>& pivots) {
+  char buf[192];
+  std::snprintf(buf, sizeof buf, "x=%016llx piv=%016llx t=%a e=%a msgs=%llu",
+                static_cast<unsigned long long>(x_digest),
+                static_cast<unsigned long long>(fnv1a(kFnvBasis, pivots)),
+                run.duration_s, run.energy.total_j(),
+                static_cast<unsigned long long>(run.traffic.data_messages));
+  return buf;
+}
+
+struct LuPin {
+  int ranks;
+  const char* solve;         // solve_pdgesv
+  const char* factor_solve;  // pdgetrf + two PdluFactorization::solve calls
+  const char* checkpointed;  // partner-copy checkpoints + one injected fault
+};
+
+TEST(PdgesvPinned, SolveFactorSolveAndCheckpointedRunsAreBitExact) {
+  // pdgesv, the factor-once/solve-many path and the checkpointed variant
+  // run one shared block-cyclic LU. These fingerprints pin its numerics
+  // and its whole simulated cost (virtual time, energy, message count) on
+  // a square (2x2) and a non-square (2x3) grid, at n = 256, nb = 32.
+  const std::size_t n = 256;
+  const std::uint64_t seed = 17;
+  const LuPin pins[] = {
+      {4,
+       "x=6b299784b4ac7d7c piv=47b5eeb1c24f5b25 t=0x1.32b23067621fbp-11 "
+       "e=0x1.165f79d212f9ep-4 msgs=876",
+       "x=454e5ae7af28e1f9 piv=47b5eeb1c24f5b25 t=0x1.42ca495f3f61bp-11 "
+       "e=0x1.24df126d2bdd1p-4 msgs=940",
+       "x=6b299784b4ac7d7c piv=47b5eeb1c24f5b25 t=0x1.6f98d9e440065p-11 "
+       "e=0x1.54f075efcce4bp-4 msgs=990"},
+      {6,
+       "x=de58bdef8c245492 piv=47b5eeb1c24f5b25 t=0x1.caa4c2709894ap-11 "
+       "e=0x1.a588457664b64p-4 msgs=960",
+       "x=e035e57b69f94c25 piv=47b5eeb1c24f5b25 t=0x1.e966d58af5c2dp-11 "
+       "e=0x1.c19a186a3bd4p-4 msgs=1072",
+       "x=de58bdef8c245492 piv=47b5eeb1c24f5b25 t=0x1.fe6c77c56e2c1p-11 "
+       "e=0x1.dcd2b69884c42p-4 msgs=1085"},
+  };
+  for (const LuPin& pin : pins) {
+    SCOPED_TRACE(pin.ranks);
+    std::vector<double> x;
+    std::vector<std::size_t> pivots;
+    const xmpi::RunResult solve =
+        xmpi::Runtime::run(mini_config(pin.ranks), [&](xmpi::Comm& comm) {
+          PdgesvOptions options;
+          options.n = n;
+          options.seed = seed;
+          options.nb = 32;
+          PdgesvResult result = solve_pdgesv(comm, options);
+          if (comm.rank() == 0) {
+            x = std::move(result.x);
+            pivots = std::move(result.pivots);
+          }
+        });
+    EXPECT_EQ(fingerprint(solve, fnv1a(kFnvBasis, x), pivots), pin.solve);
+
+    std::uint64_t digest = kFnvBasis;
+    const xmpi::RunResult factor_solve =
+        xmpi::Runtime::run(mini_config(pin.ranks), [&](xmpi::Comm& comm) {
+          PdgesvOptions options;
+          options.n = n;
+          options.seed = seed;
+          options.nb = 32;
+          const PdluFactorization f = pdgetrf(comm, options);
+          const std::vector<double> x1 = f.solve(linalg::generate_rhs(3, n));
+          const std::vector<double> x2 = f.solve(linalg::generate_rhs(4, n));
+          if (comm.rank() == 0) {
+            digest = fnv1a(fnv1a(kFnvBasis, x1), x2);
+            pivots = f.pivots();
+          }
+        });
+    EXPECT_EQ(fingerprint(factor_solve, digest, pivots), pin.factor_solve);
+
+    const xmpi::RunResult checkpointed =
+        xmpi::Runtime::run(mini_config(pin.ranks), [&](xmpi::Comm& comm) {
+          PdgetrfFtOptions options;
+          options.base.n = n;
+          options.base.seed = seed;
+          options.base.nb = 32;
+          options.checkpoint_every_panels = 3;
+          options.partner_copy = true;
+          options.inject_fault_at_panel = 4;  // rolls back to panel 3
+          const PdgetrfFtResult result = pdgetrf_checkpointed(comm, options);
+          EXPECT_EQ(result.restarts, 1);
+          EXPECT_EQ(result.panels_recomputed, 1u);
+          const std::vector<double> xs =
+              result.factorization.solve(linalg::generate_rhs(seed, n));
+          if (comm.rank() == 0) {
+            x = xs;
+            pivots = result.factorization.pivots();
+          }
+        });
+    EXPECT_EQ(fingerprint(checkpointed, fnv1a(kFnvBasis, x), pivots),
+              pin.checkpointed);
+  }
 }
 
 class ImepParam : public ::testing::TestWithParam<ParallelCase> {};
