@@ -1,7 +1,7 @@
 // xmpi runtime perf-regression harness.
 //
 // Sweeps paper-scale rank counts over runtime-dominated workloads (world
-// spawn, spawn+collectives, ring point-to-point, wildcard gather) on the
+// spawn, spawn+collectives, ring point-to-point, fan-in gather) on the
 // worker pool, prints a host wall-clock table and writes `BENCH_xmpi.json`
 // (bench/harness.hpp schema) so runtime performance has a recorded
 // trajectory. Host timings only: the harness has no --check.
@@ -59,12 +59,13 @@ void ring_exchange(xmpi::Comm& comm) {
   }
 }
 
-/// Rank 0 drains a wildcard receive per peer — the indexed mailbox's
-/// wildcard scan plus targeted wakeup under maximal fan-in.
-void wildcard_gather(xmpi::Comm& comm) {
+/// Rank 0 receives one message from every peer in rank order — the
+/// indexed mailbox's exact lookup plus targeted wakeup under maximal
+/// fan-in.
+void fan_in_gather(xmpi::Comm& comm) {
   if (comm.rank() == 0) {
-    for (int i = 1; i < comm.size(); ++i) {
-      (void)comm.recv_value<int>(xmpi::kAnySource, xmpi::kAnyTag);
+    for (int peer = 1; peer < comm.size(); ++peer) {
+      (void)comm.recv_value<int>(peer, /*tag=*/peer % 7);
     }
   } else {
     comm.send_value(comm.rank(), 0, /*tag=*/comm.rank() % 7);
@@ -82,7 +83,7 @@ constexpr WorkloadSpec kWorkloads[] = {
     {"spawn", spawn_only},
     {"spawn+collective", spawn_collective},
     {"ring", ring_exchange},
-    {"wildcard_gather", wildcard_gather},
+    {"fan_in_gather", fan_in_gather},
 };
 
 struct HarnessResult {

@@ -1,7 +1,6 @@
 #include "batch/queue.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -18,33 +17,39 @@ QueueOutcome run_queue(std::span<const JobSpec> specs, ResultStore& store,
   PLIN_CHECK_MSG(options.workers >= 1, "queue: need >= 1 worker");
 
   QueueOutcome outcome;
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<std::size_t> execution_tickets{0};
-  std::mutex outcome_mutex;
+  std::size_t cursor = 0;
+  std::size_t execution_tickets = 0;
+  std::mutex mutex;  // guards cursor, execution_tickets and outcome
 
-  auto worker_main = [&] {
-    while (true) {
-      const std::size_t index = cursor.fetch_add(1);
-      if (index >= specs.size()) return;
-      const JobSpec& spec = specs[index];
+  // Claims the next job to execute, in spec order. The cursor step, the
+  // store probe and the execution ticket are one critical section, so the
+  // jobs a max_jobs budget admits are the first uncached ones whatever the
+  // thread timing. Tickets are claimed only for jobs that actually need to
+  // run, so resumes make progress even when the budget is smaller than
+  // the cached prefix.
+  const auto claim = [&]() -> const JobSpec* {
+    std::lock_guard<std::mutex> lock(mutex);
+    while (cursor < specs.size()) {
+      const JobSpec& spec = specs[cursor++];
       const std::string key = spec.key();
-
       if (store.probe(key).has_value()) {
         PLIN_LOG_INFO << "queue: skip (cached " << key << ") "
                       << spec.describe();
-        std::lock_guard<std::mutex> lock(outcome_mutex);
         ++outcome.cached;
-        continue;
-      }
-
-      // Execution budget (max_jobs): tickets are claimed only for jobs
-      // that actually need to run, so resumes make progress even when the
-      // budget is smaller than the cached prefix.
-      if (execution_tickets.fetch_add(1) >= options.max_jobs) {
-        std::lock_guard<std::mutex> lock(outcome_mutex);
+      } else if (execution_tickets >= options.max_jobs) {
         ++outcome.stopped;
-        continue;
+      } else {
+        ++execution_tickets;
+        return &spec;
       }
+    }
+    return nullptr;
+  };
+
+  auto worker_main = [&] {
+    while (const JobSpec* claimed = claim()) {
+      const JobSpec& spec = *claimed;
+      const std::string key = spec.key();
 
       const int attempts_allowed = 1 + options.retries;
       std::string last_error;
@@ -74,7 +79,7 @@ QueueOutcome run_queue(std::span<const JobSpec> specs, ResultStore& store,
         }
       }
 
-      std::lock_guard<std::mutex> lock(outcome_mutex);
+      std::lock_guard<std::mutex> lock(mutex);
       if (stored) {
         ++outcome.executed;
       } else {

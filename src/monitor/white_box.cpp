@@ -68,6 +68,11 @@ PhasedMeasurement run_phases_protocol(xmpi::Comm& world,
   }
   const std::size_t nphases = phases.size();
 
+  // The report gather names each node's monitoring rank by world rank.
+  PLIN_CHECK_MSG(world.size() == world.world().layout().ranks() &&
+                     world.rank() == world.world_rank(),
+                 "monitored runs need the world communicator");
+
   // Group ranks per node and elect the highest rank as monitoring rank.
   xmpi::Comm node_comm = world.split_shared_node();
   const bool monitoring = node_comm.rank() == node_comm.size() - 1;
@@ -144,20 +149,26 @@ PhasedMeasurement run_phases_protocol(xmpi::Comm& world,
   }
 
   if (world.rank() == 0) {
+    // Each node's report comes from its monitoring rank, the node's highest
+    // rank, received in node order: an exact source per message, so which
+    // report arrives first on the host cannot move rank 0's clock.
+    const hw::ClusterLayout& layout = world.world().layout();
     std::vector<std::vector<NodeReport>> all;
     all.reserve(static_cast<std::size_t>(monitor_count));
-    if (monitoring) all.push_back(mine);
-    const int remote = monitor_count - (monitoring ? 1 : 0);
-    std::vector<NodeReport> incoming(1 + nphases);
-    for (int i = 0; i < remote; ++i) {
-      world.recv(std::span<NodeReport>(incoming), xmpi::kAnySource,
-                 kTagReport);
-      all.push_back(incoming);
+    for (int node = 0; node < layout.nodes(); ++node) {
+      const hw::RankRange on_node = layout.ranks_on_node(node);
+      if (on_node.empty()) continue;
+      const int monitor_rank =
+          on_node.front() + static_cast<int>(on_node.size()) - 1;
+      if (monitor_rank == 0) {
+        all.push_back(mine);
+      } else {
+        std::vector<NodeReport>& incoming = all.emplace_back(1 + nphases);
+        world.recv(std::span<NodeReport>(incoming), monitor_rank, kTagReport);
+      }
     }
-    std::sort(all.begin(), all.end(),
-              [](const auto& a, const auto& b) {
-                return a[0].node < b[0].node;
-              });
+    PLIN_CHECK_MSG(static_cast<int>(all.size()) == monitor_count,
+                   "one report per node with ranks");
     for (const auto& reports : all) {
       result.total.nodes.push_back(reports[0]);
       for (std::size_t p = 0; p < nphases; ++p) {

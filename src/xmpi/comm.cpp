@@ -138,8 +138,7 @@ void wait_all(std::span<Request> requests) {
 }
 
 bool Comm::iprobe(int src, int tag) {
-  PLIN_CHECK_MSG(src == kAnySource || (src >= 0 && src < size()),
-                 "iprobe source out of range");
+  PLIN_CHECK_MSG(src >= 0 && src < size(), "iprobe source out of range");
   if (world_->aborted()) throw Aborted();
   return me().mailbox.probe(src, tag, context_);
 }
@@ -212,9 +211,8 @@ void Comm::send_impl(std::span<const std::byte> data, int dst, int tag,
   state.peers.record_send(dst_world, data.size());
 }
 
-RecvInfo Comm::recv_impl(std::span<std::byte> data, int src, int tag) {
-  PLIN_CHECK_MSG(src == kAnySource || (src >= 0 && src < size()),
-                 "recv source out of range");
+void Comm::recv_impl(std::span<std::byte> data, int src, int tag) {
+  PLIN_CHECK_MSG(src >= 0 && src < size(), "recv source out of range");
   Envelope envelope =
       me().mailbox.match(src, tag, context_, data, world_->abort_flag());
   PLIN_CHECK_MSG(envelope.bytes == data.size(),
@@ -244,7 +242,6 @@ RecvInfo Comm::recv_impl(std::span<std::byte> data, int src, int tag) {
   state.traffic.recv_messages += 1;
   state.traffic.recv_bytes += envelope.bytes;
   state.peers.record_recv(envelope.src_world, envelope.bytes);
-  return RecvInfo{envelope.src, envelope.tag, envelope.bytes};
 }
 
 void Comm::barrier() {

@@ -19,12 +19,6 @@
 
 namespace plin::xmpi {
 
-struct RecvInfo {
-  int source = 0;
-  int tag = 0;
-  std::size_t bytes = 0;
-};
-
 namespace detail {
 
 /// One reduction step with a fixed operand order: `lower` is the
@@ -169,10 +163,12 @@ class Comm {
     send(std::span<const T>(&value, 1), dst, tag);
   }
 
+  /// Receives the oldest message of channel (src, tag); its size must be
+  /// exactly `data`'s.
   template <typename T>
-  RecvInfo recv(std::span<T> data, int src, int tag) {
+  void recv(std::span<T> data, int src, int tag) {
     static_assert(std::is_trivially_copyable_v<T>);
-    return recv_impl(std::as_writable_bytes(data), src, tag);
+    recv_impl(std::as_writable_bytes(data), src, tag);
   }
 
   template <typename T>
@@ -350,7 +346,7 @@ class Comm {
 
   void send_impl(std::span<const std::byte> data, int dst, int tag,
                  bool control, bool halo = false);
-  RecvInfo recv_impl(std::span<std::byte> data, int src, int tag);
+  void recv_impl(std::span<std::byte> data, int src, int tag);
   void bcast_impl(std::span<std::byte> data, int root, int stream);
 
   template <typename T>

@@ -1,21 +1,13 @@
 #include "xmpi/mailbox.hpp"
 
 #include <cstring>
-#include <limits>
 #include <utility>
 
 namespace plin::xmpi {
 
-Mailbox::ChannelKey Mailbox::channel_floor(std::uint64_t context) {
-  return {context, std::numeric_limits<int>::min(),
-          std::numeric_limits<int>::min()};
-}
-
 bool Mailbox::satisfies(const Envelope& envelope, const PendingRecv& pending) {
-  if (envelope.context != pending.context) return false;
-  if (pending.src != kAnySource && envelope.src != pending.src) return false;
-  if (pending.tag != kAnyTag && envelope.tag != pending.tag) return false;
-  return true;
+  return envelope.context == pending.context && envelope.src == pending.src &&
+         envelope.tag == pending.tag;
 }
 
 void Mailbox::post(Envelope&& envelope) {
@@ -24,7 +16,7 @@ void Mailbox::post(Envelope&& envelope) {
     std::lock_guard<std::mutex> lock(mutex_);
     const ChannelKey key{envelope.context, envelope.src, envelope.tag};
     const bool wake = pending_.active && satisfies(envelope, pending_);
-    channels_[key].push_back(Item{std::move(envelope), next_seq_++});
+    channels_[key].push_back(std::move(envelope));
     if (wake) {
       // Deactivate so later posts stop re-waking until the receiver
       // re-registers; the receiver re-arms on every retry.
@@ -52,12 +44,9 @@ bool Mailbox::deliver(Envelope&& envelope, std::span<const std::byte> data,
     const ChannelKey key{envelope.context, envelope.src, envelope.tag};
     const bool wake = pending_.active && satisfies(envelope, pending_);
     // Rendezvous only when FIFO order proves the registered receive will
-    // consume *this* message: the pending receive is exact (no wildcard
-    // re-pick can intervene), sizes agree, and its channel has no earlier
+    // consume *this* message: sizes agree and its channel has no earlier
     // message queued ahead of us.
-    if (wake && pending_.has_dest &&
-        pending_.src != kAnySource && pending_.tag != kAnyTag &&
-        pending_.dest.size() == data.size() &&
+    if (wake && pending_.has_dest && pending_.dest.size() == data.size() &&
         channels_.find(key) == channels_.end()) {
       if (!data.empty()) {
         std::memcpy(pending_.dest.data(), data.data(), data.size());
@@ -68,7 +57,7 @@ bool Mailbox::deliver(Envelope&& envelope, std::span<const std::byte> data,
       envelope.payload = pool.acquire(data.size());
       std::memcpy(envelope.payload.data(), data.data(), data.size());
     }
-    channels_[key].push_back(Item{std::move(envelope), next_seq_++});
+    channels_[key].push_back(std::move(envelope));
     if (wake) {
       pending_.active = false;
       if (parker_ != nullptr) {
@@ -84,50 +73,11 @@ bool Mailbox::deliver(Envelope&& envelope, std::span<const std::byte> data,
 
 std::optional<Envelope> Mailbox::try_match_locked(int src, int tag,
                                                   std::uint64_t context) {
-  if (src != kAnySource && tag != kAnyTag) {
-    // Exact receive — the hot path for all solver traffic: one map lookup,
-    // pop the channel FIFO front.
-    const auto it = channels_.find(ChannelKey{context, src, tag});
-    if (it == channels_.end()) return std::nullopt;
-    Envelope envelope = std::move(it->second.front().envelope);
-    it->second.pop_front();
-    if (it->second.empty()) channels_.erase(it);
-    return envelope;
-  }
-
-  // Wildcard receive: scan every queued message in the matching channels
-  // and take the one with the earliest virtual arrival, ties broken by
-  // lowest source then earliest post. Scanning whole channels (not just
-  // fronts) keeps the pick exact even when a sender's later message
-  // carries an equal arrival stamp.
-  auto best_channel = channels_.end();
-  std::size_t best_index = 0;
-  const Item* best = nullptr;
-  const auto begin = channels_.lower_bound(channel_floor(context));
-  for (auto it = begin; it != channels_.end() && it->first.context == context;
-       ++it) {
-    if (src != kAnySource && it->first.src != src) continue;
-    if (tag != kAnyTag && it->first.tag != tag) continue;
-    for (std::size_t i = 0; i < it->second.size(); ++i) {
-      const Item& item = it->second[i];
-      const bool better =
-          best == nullptr ||
-          item.envelope.arrival_time < best->envelope.arrival_time ||
-          (item.envelope.arrival_time == best->envelope.arrival_time &&
-           (item.envelope.src < best->envelope.src ||
-            (item.envelope.src == best->envelope.src &&
-             item.seq < best->seq)));
-      if (better) {
-        best_channel = it;
-        best_index = i;
-        best = &item;
-      }
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  Envelope envelope = std::move(best_channel->second[best_index].envelope);
-  best_channel->second.erase_at(best_index);
-  if (best_channel->second.empty()) channels_.erase(best_channel);
+  const auto it = channels_.find(ChannelKey{context, src, tag});
+  if (it == channels_.end()) return std::nullopt;
+  Envelope envelope = std::move(it->second.front());
+  it->second.pop_front();
+  if (it->second.empty()) channels_.erase(it);
   return envelope;
 }
 
@@ -179,17 +129,7 @@ Envelope Mailbox::match(int src, int tag, std::uint64_t context,
 
 bool Mailbox::probe(int src, int tag, std::uint64_t context) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (src != kAnySource && tag != kAnyTag) {
-    return channels_.find(ChannelKey{context, src, tag}) != channels_.end();
-  }
-  const auto begin = channels_.lower_bound(channel_floor(context));
-  for (auto it = begin; it != channels_.end() && it->first.context == context;
-       ++it) {
-    if (src != kAnySource && it->first.src != src) continue;
-    if (tag != kAnyTag && it->first.tag != tag) continue;
-    return true;  // channels are non-empty by invariant
-  }
-  return false;
+  return channels_.find(ChannelKey{context, src, tag}) != channels_.end();
 }
 
 void Mailbox::interrupt() {

@@ -1,10 +1,11 @@
 // Mailbox — per-rank message store with blocking matched receive.
 //
-// Matching follows MPI semantics: (source, tag, communicator-context)
-// triples, with wildcards, FIFO per (source, tag) channel. Messages are
-// indexed by channel — a sorted map from (context, src, tag) to a FIFO —
-// so the exact-match fast path (all solver traffic) is a single map lookup
-// instead of the flat-deque scan the first implementation used.
+// Matching is exact: a receive names one (context, source, tag) triple and
+// takes the oldest message of that channel (MPI's non-overtaking FIFO
+// order). There are no wildcard receives, so which message a receive
+// consumes never depends on what happens to be queued on the host when it
+// matches. Messages are indexed by channel — a sorted map from
+// (context, src, tag) to a FIFO — so every match is a single map lookup.
 //
 // Blocking is pluggable. A receiver first registers its pending match
 // under the mailbox lock, then either
@@ -22,19 +23,15 @@
 // The transport has two delivery paths (docs/xmpi.md):
 //   - eager: the sender copies the payload into a buffer acquired from the
 //     world's PayloadPool and enqueues the envelope;
-//   - rendezvous (zero-copy): when the owner is already blocked in an
-//     *exact* receive whose destination buffer is registered, the payload
-//     matches the registered size, and the target (context, src, tag)
-//     channel is empty — i.e. FIFO order proves this message is the one
-//     that receive will consume — the sender writes straight into the
-//     receiver's destination span and enqueues only the envelope metadata.
-//     Wildcard receives never take the rendezvous path: a later post with
-//     an earlier virtual arrival could still win the deterministic
-//     wildcard pick, which an in-place delivery could not be unwound from.
+//   - rendezvous (zero-copy): when the owner is already blocked in a
+//     receive whose destination buffer is registered, the payload matches
+//     the registered size, and the target channel is empty — i.e. FIFO
+//     order proves this message is the one that receive will consume —
+//     the sender writes straight into the receiver's destination span and
+//     enqueues only the envelope metadata.
 //
 // Virtual timing is carried by the `arrival_time` stamp computed by the
-// sender; the deterministic wildcard order is part of the public contract
-// (see match()).
+// sender.
 #pragma once
 
 #include <atomic>
@@ -115,11 +112,8 @@ class Mailbox {
   bool deliver(Envelope&& envelope, std::span<const std::byte> data,
                PayloadPool& pool);
 
-  /// Blocks until a message matching (src, tag, context) is present and
-  /// removes it. With kAnySource/kAnyTag, picks the present message with
-  /// the earliest virtual arrival (ties: lowest source, then earliest
-  /// post) to keep runs deterministic. Throws Aborted if the abort flag
-  /// fires.
+  /// Blocks until a message of channel (src, tag, context) is present and
+  /// removes the oldest one. Throws Aborted if the abort flag fires.
   ///
   /// `dest` is the receive buffer registered for rendezvous delivery; when
   /// the returned envelope has `inplace` set the payload is already there.
@@ -130,16 +124,14 @@ class Mailbox {
   Envelope match(int src, int tag, std::uint64_t context,
                  const std::atomic<bool>& abort_flag);
 
-  /// Non-blocking probe: true if a message matching (src, tag, context) is
-  /// currently queued (MPI_Iprobe semantics).
+  /// Non-blocking probe: true if a message of channel (src, tag, context)
+  /// is currently queued (MPI_Iprobe semantics).
   bool probe(int src, int tag, std::uint64_t context);
 
   /// Wakes the blocked matcher, if any (used by World::abort).
   void interrupt();
 
  private:
-  /// Channels order by (context, src, tag) so a wildcard receive walks a
-  /// contiguous, deterministically ordered range of its context.
   struct ChannelKey {
     std::uint64_t context = 0;
     int src = 0;
@@ -152,43 +144,23 @@ class Mailbox {
     }
   };
 
-  /// `seq` is the mailbox-global post order, the final wildcard tie-break
-  /// (equal arrival and source ⇒ earliest posted wins, which for a single
-  /// sender is its program order).
-  struct Item {
-    Envelope envelope;
-    std::uint64_t seq = 0;
-  };
-
   /// Vector-backed FIFO with a head cursor. A std::deque here cost ~0.5
   /// KiB of chunk map per channel even when holding a single item; with
   /// one channel per active peer/tag pair across 100k mailboxes that
   /// overhead dominated rank state. Channels rarely hold more than a
   /// couple of in-flight messages, so a vector plus lazy head compaction
   /// is both smaller and faster.
-  class ItemFifo {
+  class EnvelopeFifo {
    public:
     bool empty() const { return head_ == items_.size(); }
-    std::size_t size() const { return items_.size() - head_; }
-    Item& front() { return items_[head_]; }
-    const Item& operator[](std::size_t i) const { return items_[head_ + i]; }
-    Item& operator[](std::size_t i) { return items_[head_ + i]; }
+    Envelope& front() { return items_[head_]; }
 
-    void push_back(Item&& item) { items_.push_back(std::move(item)); }
+    void push_back(Envelope&& envelope) {
+      items_.push_back(std::move(envelope));
+    }
 
     void pop_front() {
       ++head_;
-      compact();
-    }
-
-    /// Removes the i-th queued item (wildcard pick at arbitrary depth).
-    void erase_at(std::size_t i) {
-      items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(head_ + i));
-      compact();
-    }
-
-   private:
-    void compact() {
       if (head_ == items_.size()) {
         items_.clear();
         head_ = 0;
@@ -199,7 +171,8 @@ class Mailbox {
       }
     }
 
-    std::vector<Item> items_;
+   private:
+    std::vector<Envelope> items_;
     std::size_t head_ = 0;
   };
 
@@ -223,14 +196,10 @@ class Mailbox {
   std::optional<Envelope> try_match_locked(int src, int tag,
                                            std::uint64_t context);
   static bool satisfies(const Envelope& envelope, const PendingRecv& pending);
-  /// Smallest ChannelKey of a context — internal tags are negative, so the
-  /// floor must sit below every representable (src, tag).
-  static ChannelKey channel_floor(std::uint64_t context);
 
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::map<ChannelKey, ItemFifo> channels_;  // non-empty FIFOs only
-  std::uint64_t next_seq_ = 0;
+  std::map<ChannelKey, EnvelopeFifo> channels_;  // non-empty FIFOs only
   PendingRecv pending_;
   Parker* parker_ = nullptr;
 };

@@ -34,6 +34,27 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
+// AddressSanitizer must be told which stack runs after a switch, or an
+// exception unwinding on a fiber stack looks like a wild stack access
+// (its no-return handler poisons the wrong range).
+#if defined(__SANITIZE_ADDRESS__)
+#define PLIN_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PLIN_ASAN_FIBERS 1
+#endif
+#endif
+
+#if defined(PLIN_ASAN_FIBERS)
+extern "C" {
+void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
+                                    std::size_t size);
+void __sanitizer_finish_switch_fiber(void* fake_stack_save,
+                                     const void** bottom_old,
+                                     std::size_t* size_old);
+}
+#endif
+
 namespace plin::xmpi {
 
 namespace {
@@ -62,12 +83,48 @@ void tsan_destroy_fiber(void* fiber) {
 #endif
 }
 
-void tsan_switch_to_fiber(void* fiber) {
-#if defined(PLIN_TSAN_FIBERS)
-  if (fiber != nullptr) __tsan_switch_to_fiber(fiber, 0);
+/// Where a switch goes: the context to resume, its TSan fiber and the
+/// stack it runs on (for ASan).
+struct SwitchTarget {
+  ucontext_t* context = nullptr;
+  void* tsan_fiber = nullptr;
+  const void* stack_bottom = nullptr;
+  std::size_t stack_bytes = 0;
+};
+
+/// Tells ASan that this side of a switch is now running, and, through
+/// `from`, which stack control came from (nullptr to ignore it).
+/// `fake_stack` is what this side saved when it last switched out (nullptr
+/// on a fiber's first entry).
+void finish_switch(void* fake_stack, SwitchTarget* from) {
+#if defined(PLIN_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(
+      fake_stack, from != nullptr ? &from->stack_bottom : nullptr,
+      from != nullptr ? &from->stack_bytes : nullptr);
 #else
-  (void)fiber;
+  (void)fake_stack;
+  (void)from;
 #endif
+}
+
+/// The one context switch: saves the running context in `save`, tells both
+/// sanitizers where control goes, and resumes `to`. `final` marks a switch
+/// out of a finished fiber, which never resumes (ASan then frees its fake
+/// stack). On return, `from` names the stack that switched back here.
+void switch_context(ucontext_t* save, const SwitchTarget& to, bool final,
+                    SwitchTarget* from) {
+  void* fake_stack = nullptr;
+#if defined(PLIN_ASAN_FIBERS)
+  __sanitizer_start_switch_fiber(final ? nullptr : &fake_stack,
+                                 to.stack_bottom, to.stack_bytes);
+#else
+  (void)final;
+#endif
+#if defined(PLIN_TSAN_FIBERS)
+  if (to.tsan_fiber != nullptr) __tsan_switch_to_fiber(to.tsan_fiber, 0);
+#endif
+  ::swapcontext(save, to.context);
+  finish_switch(fake_stack, from);
 }
 
 constexpr std::size_t kDefaultStackBytes = 512 * 1024;
@@ -104,11 +161,11 @@ struct FiberScheduler::RankFiber final : Mailbox::Parker {
   Task task;
 
   ucontext_t context{};
-  /// Scheduler context of the worker currently running this fiber; set at
-  /// every dispatch (a parked fiber may resume on a different worker).
-  ucontext_t* return_context = nullptr;
   void* tsan_fiber = nullptr;
-  void* return_tsan_fiber = nullptr;
+  /// The worker currently running this fiber: its scheduler context and
+  /// TSan fiber are set at every dispatch (a parked fiber may resume on a
+  /// different worker), its stack each time the fiber gains control.
+  SwitchTarget worker;
   /// Stack leased from the StackPool at first dispatch, returned when the
   /// body finishes — unstarted and finished ranks hold no stack at all.
   StackPool::Allocation stack;
@@ -125,8 +182,7 @@ struct FiberScheduler::RankFiber final : Mailbox::Parker {
 
   /// Transfers control back to the owning worker's scheduler context.
   void switch_to_worker() {
-    tsan_switch_to_fiber(return_tsan_fiber);
-    ::swapcontext(&context, return_context);
+    switch_context(&context, worker, /*final=*/body_done, &worker);
   }
 };
 
@@ -151,6 +207,7 @@ thread_local FiberScheduler::RankFiber* t_launching_fiber = nullptr;
 
 extern "C" void plin_fiber_trampoline() {
   FiberScheduler::RankFiber* self = t_launching_fiber;
+  finish_switch(nullptr, &self->worker);
   self->task.body();
   self->body_done = true;
   self->switch_to_worker();
@@ -246,15 +303,17 @@ void FiberScheduler::dispatch(RankFiber& fiber, void* worker_tsan) {
     fiber.started = true;
   }
   ucontext_t worker_context;
-  fiber.return_context = &worker_context;
-  fiber.return_tsan_fiber = worker_tsan;
+  fiber.worker.context = &worker_context;
+  fiber.worker.tsan_fiber = worker_tsan;
   // Measurement reads (simulated RAPL/PAPI) resolve through the host
   // thread's binding, so it must follow the rank onto whichever worker
   // dispatches it.
   trace::ScopedHardwareBinding binding(fiber.task.hw);
   t_launching_fiber = &fiber;
-  tsan_switch_to_fiber(fiber.tsan_fiber);
-  ::swapcontext(&worker_context, &fiber.context);
+  switch_context(&worker_context,
+                 SwitchTarget{&fiber.context, fiber.tsan_fiber, fiber.stack.sp,
+                              fiber.stack.bytes},
+                 /*final=*/false, /*from=*/nullptr);
   // Control returns here when the fiber parks or finishes.
 }
 

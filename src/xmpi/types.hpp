@@ -1,4 +1,4 @@
-// Shared xmpi types: wildcard constants, reduce operations, compute cost
+// Shared xmpi types: internal tags, reduce operations, compute cost
 // descriptors and traffic counters.
 #pragma once
 
@@ -9,11 +9,8 @@
 
 namespace plin::xmpi {
 
-/// MPI_ANY_SOURCE / MPI_ANY_TAG analogues. User tags must be >= 0; negative
-/// tags are reserved for collective-internal traffic.
-inline constexpr int kAnySource = -1;
-inline constexpr int kAnyTag = -1;
-
+/// Tags of collective-internal traffic. User tags must be >= 0; negative
+/// tags are reserved for these.
 namespace internal_tag {
 inline constexpr int kBarrier = -2;
 inline constexpr int kBcast = -3;

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -777,6 +778,27 @@ TEST(QueueTest, MaxJobsStopsDeterministically) {
   EXPECT_EQ(second.cached, 2u);
   EXPECT_EQ(second.stopped, 0u);
   EXPECT_TRUE(second.complete());
+
+  // Two workers racing for the budget still admit the first two uncached
+  // specs in manifest order: with jobs[1] cached, that is jobs 0 and 2.
+  for (int rep = 0; rep < 10; ++rep) {
+    SCOPED_TRACE("rep " + std::to_string(rep));
+    ResultStore racing(scratch_dir("queue_maxjobs_workers"));
+    (void)run_queue(std::span<const JobSpec>(&jobs[1], 1), racing, {});
+    QueueOptions two_workers;
+    two_workers.workers = 2;
+    two_workers.max_jobs = 2;
+    const QueueOutcome outcome = run_queue(jobs, racing, two_workers);
+    EXPECT_EQ(outcome.executed, 2u);
+    EXPECT_EQ(outcome.cached, 1u);
+    EXPECT_EQ(outcome.stopped, 1u);
+    std::set<std::string> stored;
+    for (const JobRecord& record : racing.all_records()) {
+      stored.insert(record.key());
+    }
+    EXPECT_EQ(stored, (std::set<std::string>{jobs[0].key(), jobs[1].key(),
+                                             jobs[2].key()}));
+  }
 }
 
 TEST(QueueTest, RetriesAfterInjectedFault) {

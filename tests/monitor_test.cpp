@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "hwmodel/placement.hpp"
 #include "monitor/campaign.hpp"
@@ -160,6 +162,61 @@ TEST(WhiteBoxMonitor, SingleNodeSingleRankWorks) {
         [](xmpi::Comm& comm) { run_solver(comm, 448); });
     EXPECT_GT(m.total_j(), 0.0);
   });
+}
+
+/// Everything a monitored run reports in virtual time or modeled joules.
+struct MonitoredOutputs {
+  double duration_s = 0.0;
+  std::vector<double> rank_times;
+  double total_j = 0.0;
+  RunMeasurement measured;
+};
+
+MonitoredOutputs run_monitored(std::size_t workers, std::size_t n) {
+  xmpi::RunConfig config;
+  config.machine = hw::mini_cluster(/*nodes=*/8, /*cores_per_socket=*/4);
+  config.placement =
+      hw::make_placement(16, hw::LoadLayout::kFullLoad, config.machine);
+  config.workers = workers;
+  MonitoredOutputs out;
+  const xmpi::RunResult run =
+      xmpi::Runtime::run(config, [&](xmpi::Comm& world) {
+        const RunMeasurement m =
+            monitored_run(world, MonitorOptions{}, [n](xmpi::Comm& comm) {
+              if (n > 0) run_solver(comm, n);
+            });
+        if (world.rank() == 0) out.measured = m;
+      });
+  out.duration_s = run.duration_s;
+  out.rank_times = run.rank_times;
+  out.total_j = run.energy.total_j();
+  return out;
+}
+
+TEST(WhiteBoxMonitor, OutputsAreBitIdenticalAcrossWorkerCounts) {
+  // Host scheduling must not reach virtual time or energy: every run of
+  // the same job, at any worker count, reports the same bits. n = 0 is
+  // the empty workload, where the report gather is all that happens.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{256}}) {
+    const MonitoredOutputs reference = run_monitored(1, n);
+    ASSERT_EQ(reference.measured.nodes.size(), 2u);
+    for (const std::size_t workers : {1u, 2u, 4u, 16u}) {
+      for (int rep = 0; rep < 5; ++rep) {
+        SCOPED_TRACE("n=" + std::to_string(n) +
+                     " workers=" + std::to_string(workers) +
+                     " rep=" + std::to_string(rep));
+        const MonitoredOutputs got = run_monitored(workers, n);
+        EXPECT_EQ(got.duration_s, reference.duration_s);
+        EXPECT_EQ(got.rank_times, reference.rank_times);
+        EXPECT_EQ(got.total_j, reference.total_j);
+        EXPECT_EQ(got.measured.duration_s, reference.measured.duration_s);
+        for (int p = 0; p < 2; ++p) {
+          EXPECT_EQ(got.measured.pkg_j[p], reference.measured.pkg_j[p]);
+          EXPECT_EQ(got.measured.dram_j[p], reference.measured.dram_j[p]);
+        }
+      }
+    }
+  }
 }
 
 TEST(WhiteBoxMonitor, PhasesPartitionTheTotal) {

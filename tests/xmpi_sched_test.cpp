@@ -29,22 +29,22 @@ RunConfig mini_config(int ranks,
   return config;
 }
 
-/// A deliberately scheduler-hostile campaign: mixed unequal compute,
-/// barrier-arranged wildcard receives, several collectives, node-split and
-/// color-split sub-communicators, and nonblocking traffic.
+/// A deliberately scheduler-hostile campaign: mixed unequal compute, a
+/// fan-in to rank 0, several collectives, node-split and color-split
+/// sub-communicators, and nonblocking traffic.
 void mixed_campaign(Comm& comm) {
   const int rank = comm.rank();
   const int size = comm.size();
 
   comm.compute(ComputeCost{1.0e6 * (rank + 1), 4096.0 * (rank % 3)});
 
-  // Wildcard receives, made deterministic by the barrier: every peer sends
-  // before its barrier round, so rank 0 picks by earliest virtual arrival.
+  // Fan-in: rank 0 receives one message per peer, in rank order, after a
+  // barrier that every peer enters only once its send is queued.
   if (rank == 0) {
     comm.barrier();
     long long sum = 0;
-    for (int i = 1; i < size; ++i) {
-      sum += comm.recv_value<long long>(kAnySource, kAnyTag);
+    for (int peer = 1; peer < size; ++peer) {
+      sum += comm.recv_value<long long>(peer, /*tag=*/100 + peer % 5);
     }
     EXPECT_EQ(sum, static_cast<long long>(size) * (size - 1) / 2);
   } else {
@@ -239,7 +239,8 @@ void aborting_campaign(Comm& comm) {
     comm.idle_wait(1.0e-3);
     throw CampaignError();
   }
-  (void)comm.recv_value<int>(kAnySource, /*tag=*/424242);
+  (void)comm.recv_value<int>((comm.rank() + 1) % comm.size(),
+                             /*tag=*/424242);
   FAIL() << "receive of a never-sent message returned";
 }
 
@@ -282,7 +283,7 @@ TEST(XmpiScheduler, SingleRankDeadlockIsDetectedAndDiagnosed) {
   // The inline path has no scheduler, but its only rank is also the only
   // possible sender, so an unmatched receive must fail the same way.
   expect_deadlock(mini_config(1), [](Comm& comm) {
-    (void)comm.recv_value<int>(kAnySource, /*tag=*/424242);
+    (void)comm.recv_value<int>(/*src=*/0, /*tag=*/424242);
   });
 }
 
@@ -325,52 +326,13 @@ TEST(XmpiMailbox, ExactMatchKeepsPerChannelFifoOrder) {
   EXPECT_EQ(mailbox.match(2, 8, 1, abort).arrival_time, 0.5);
 }
 
-TEST(XmpiMailbox, WildcardPicksEarliestArrivalThenLowestSource) {
-  Mailbox mailbox;
-  std::atomic<bool> abort{false};
-  mailbox.post(make_envelope(3, 1, 1, 2.0));
-  mailbox.post(make_envelope(1, 1, 1, 2.0));  // same arrival, lower src
-  mailbox.post(make_envelope(2, 1, 1, 1.0));  // earliest arrival
-  EXPECT_EQ(mailbox.match(kAnySource, 1, 1, abort).src, 2);
-  EXPECT_EQ(mailbox.match(kAnySource, 1, 1, abort).src, 1);
-  EXPECT_EQ(mailbox.match(kAnySource, 1, 1, abort).src, 3);
-}
-
-TEST(XmpiMailbox, WildcardTieOnSameSourceTakesEarliestPost) {
-  Mailbox mailbox;
-  PayloadPool pool;
-  std::atomic<bool> abort{false};
-  const auto with_payload = [&pool](Envelope envelope, std::byte marker) {
-    envelope.bytes = 1;
-    envelope.payload = pool.acquire(1);
-    envelope.payload.data()[0] = marker;
-    return envelope;
-  };
-  mailbox.post(with_payload(make_envelope(4, 10, 1, 1.5), std::byte{1}));
-  // Equal arrival stamp: the post order must break the tie.
-  mailbox.post(with_payload(make_envelope(4, 11, 1, 1.5), std::byte{2}));
-  EXPECT_EQ(mailbox.match(4, kAnyTag, 1, abort).payload.data()[0],
-            std::byte{1});
-  EXPECT_EQ(mailbox.match(4, kAnyTag, 1, abort).payload.data()[0],
-            std::byte{2});
-}
-
-TEST(XmpiMailbox, WildcardSeesNegativeInternalTags) {
-  Mailbox mailbox;
-  std::atomic<bool> abort{false};
-  mailbox.post(make_envelope(0, -7, 1, 1.0));  // collective-style tag
-  mailbox.post(make_envelope(0, 5, 1, 2.0));
-  EXPECT_EQ(mailbox.match(kAnySource, kAnyTag, 1, abort).tag, -7);
-  EXPECT_EQ(mailbox.match(kAnySource, kAnyTag, 1, abort).tag, 5);
-}
-
 TEST(XmpiMailbox, ProbeMatchesWithoutRemoving) {
   Mailbox mailbox;
   std::atomic<bool> abort{false};
   EXPECT_FALSE(mailbox.probe(0, 1, 1));
   mailbox.post(make_envelope(0, 1, 1, 1.0));
   EXPECT_TRUE(mailbox.probe(0, 1, 1));
-  EXPECT_TRUE(mailbox.probe(kAnySource, kAnyTag, 1));
+  EXPECT_FALSE(mailbox.probe(1, 1, 1));  // other source
   EXPECT_FALSE(mailbox.probe(0, 2, 1));
   EXPECT_FALSE(mailbox.probe(0, 1, 2));  // other context
   (void)mailbox.match(0, 1, 1, abort);
