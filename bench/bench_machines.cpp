@@ -27,9 +27,9 @@ Cell evaluate(const perfsim::Simulator& simulator,
   const hw::Placement placement =
       hw::make_placement(ranks, hw::LoadLayout::kFullLoad, machine);
   const auto ime =
-      simulator.predict({perfsim::Algorithm::kIme, n, 64, 0}, placement);
-  const auto sca = simulator.predict(
-      {perfsim::Algorithm::kScalapack, n, 64, 0}, placement);
+      simulator.predict({perfsim::Algorithm::kIme, n, 64}, placement);
+  const auto sca =
+      simulator.predict({perfsim::Algorithm::kScalapack, n, 64}, placement);
   return Cell{ime.duration_s, sca.duration_s, ime.total_j(), sca.total_j()};
 }
 

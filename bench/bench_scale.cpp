@@ -16,10 +16,9 @@
 //   4. allgather wall time — 1 byte per rank under the scalable schedules
 //      (Bruck above 128 ranks), verified in-harness.
 //
-// Peak RSS of phases 3/4 is sampled by bench/rss.hpp; the sparse peer-map
-// aggregates (RunResult::peer_entries_max) and process-wide StackPool
-// counters round out the report. Everything lands in BENCH_scale.json
-// (bench/harness.hpp schema).
+// Peak RSS of phases 3/4 is sampled by bench/rss.hpp; the process-wide
+// StackPool counters round out the report. Everything lands in
+// BENCH_scale.json (bench/harness.hpp schema).
 //
 // Flags (bench/harness.hpp): --smoke for 10000 ranks instead of 100000;
 // --ranks=N for an explicit rank count (overrides --smoke / default);
@@ -72,8 +71,6 @@ struct Report {
   std::uint64_t allreduce_peak_rss_bytes = 0;
   double allgather_s = 0.0;
   std::uint64_t allgather_peak_rss_bytes = 0;
-  std::uint64_t peer_entries_max = 0;
-  std::uint64_t peer_entries_total = 0;
   xmpi::StackPool::Stats stacks;
 };
 
@@ -182,18 +179,13 @@ int main(int argc, char** argv) {
   // count), verified on every rank.
   {
     bench::RssSampler sampler;
-    xmpi::RunResult run;
     report.allreduce_s = bench::seconds([&] {
-      run = xmpi::Runtime::run(config, [&failures](xmpi::Comm& comm) {
+      xmpi::Runtime::run(config, [&failures](xmpi::Comm& comm) {
         allreduce_body(comm, failures);
       });
     });
     sampler.stop();
     report.allreduce_peak_rss_bytes = sampler.peak_bytes();
-    report.peer_entries_max =
-        std::max(report.peer_entries_max, run.peer_entries_max);
-    report.peer_entries_total =
-        std::max(report.peer_entries_total, run.peer_entries_total);
   }
   std::printf("  allreduce(64 f64) %8.3f s  (peak rss %.1f MiB)\n",
               report.allreduce_s,
@@ -202,27 +194,19 @@ int main(int argc, char** argv) {
   // Phase 4: allgather of 1 byte per rank (Bruck path), verified.
   {
     bench::RssSampler sampler;
-    xmpi::RunResult run;
     report.allgather_s = bench::seconds([&] {
-      run = xmpi::Runtime::run(config, [&failures](xmpi::Comm& comm) {
+      xmpi::Runtime::run(config, [&failures](xmpi::Comm& comm) {
         allgather_body(comm, failures);
       });
     });
     sampler.stop();
     report.allgather_peak_rss_bytes = sampler.peak_bytes();
-    report.peer_entries_max =
-        std::max(report.peer_entries_max, run.peer_entries_max);
-    report.peer_entries_total =
-        std::max(report.peer_entries_total, run.peer_entries_total);
   }
   std::printf("  allgather(1 B)    %8.3f s  (peak rss %.1f MiB)\n",
               report.allgather_s,
               report.allgather_peak_rss_bytes / (1024.0 * 1024.0));
 
   report.stacks = xmpi::StackPool::instance().stats();
-  std::printf("  peer entries      max %llu / total %llu\n",
-              static_cast<unsigned long long>(report.peer_entries_max),
-              static_cast<unsigned long long>(report.peer_entries_total));
   std::printf("  stackpool         %llu slabs, %llu served, %llu reused, "
               "peak live %llu\n",
               static_cast<unsigned long long>(report.stacks.slabs),
@@ -252,11 +236,6 @@ int main(int argc, char** argv) {
   h.record("allgather_s", report.allgather_s, "s", bench::Clock::kHost);
   h.record("allgather_peak_rss_bytes",
            static_cast<double>(report.allgather_peak_rss_bytes), "bytes",
-           bench::Clock::kNone);
-  h.record("peer_entries_max", static_cast<double>(report.peer_entries_max),
-           "count", bench::Clock::kNone);
-  h.record("peer_entries_total",
-           static_cast<double>(report.peer_entries_total), "count",
            bench::Clock::kNone);
   for (const auto& [key, value, unit] :
        {std::tuple{"slabs", report.stacks.slabs, "count"},

@@ -11,9 +11,6 @@ namespace {
 
 JobRecord run_numeric(const JobSpec& spec, const hw::MachineSpec& machine,
                       const std::string& trace_dir) {
-  PLIN_CHECK_MSG(spec.algorithm != perfsim::Algorithm::kJacobi,
-                 "batch: the numeric tier runs ime | scalapack (jacobi is "
-                 "replay-tier only)");
   monitor::MonitorOptions moptions;
   if (!trace_dir.empty()) {
     // One bundle per job, addressed by the same key the result store uses.

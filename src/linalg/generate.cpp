@@ -1,7 +1,5 @@
 #include "linalg/generate.hpp"
 
-#include <cmath>
-
 namespace plin::linalg {
 namespace {
 
@@ -30,32 +28,6 @@ double system_entry(std::uint64_t seed, std::size_t n, std::size_t i,
 double rhs_entry(std::uint64_t seed, std::size_t n, std::size_t i) {
   const std::uint64_t h = mix(mix(seed ^ 0xB0B0ULL) ^ (i + n));
   return 2.0 * unit_uniform(h) - 1.0;
-}
-
-double weak_system_entry(std::uint64_t seed, std::size_t n, std::size_t i,
-                         std::size_t j, double dominance_ratio) {
-  // All-positive off-diagonals: with random signs the Jacobi iteration
-  // matrix benefits from cancellation and the spectral radius collapses;
-  // positive entries make it genuinely 1/dominance_ratio, so convergence
-  // speed tracks the knob.
-  if (i != j) return std::fabs(system_entry(seed, n, i, j));
-  double row_sum = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (k != i) row_sum += std::fabs(system_entry(seed, n, i, k));
-  }
-  // Keep a floor so 1x1 and near-empty rows stay regular.
-  return dominance_ratio * (row_sum > 0.0 ? row_sum : 1.0);
-}
-
-Matrix generate_weak_system_matrix(std::uint64_t seed, std::size_t n,
-                                   double dominance_ratio) {
-  Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      a(i, j) = weak_system_entry(seed, n, i, j, dominance_ratio);
-    }
-  }
-  return a;
 }
 
 Matrix generate_system_matrix(std::uint64_t seed, std::size_t n) {

@@ -27,15 +27,4 @@ double rhs_entry(std::uint64_t seed, std::size_t n, std::size_t i);
 Matrix generate_system_matrix(std::uint64_t seed, std::size_t n);
 std::vector<double> generate_rhs(std::uint64_t seed, std::size_t n);
 
-/// Variant with tunable diagonal dominance: off-diagonal entries match
-/// system_entry, but the diagonal is `dominance_ratio` times the row's
-/// absolute off-diagonal sum (ratio > 1 keeps the matrix strictly
-/// dominant; values close to 1 slow iterative methods down — the knob the
-/// Jacobi energy/accuracy demonstrations turn). Evaluating a diagonal
-/// entry costs O(n).
-double weak_system_entry(std::uint64_t seed, std::size_t n, std::size_t i,
-                         std::size_t j, double dominance_ratio);
-Matrix generate_weak_system_matrix(std::uint64_t seed, std::size_t n,
-                                   double dominance_ratio);
-
 }  // namespace plin::linalg

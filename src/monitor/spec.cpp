@@ -26,7 +26,6 @@ const char* algorithm_token(perfsim::Algorithm algorithm) {
   switch (algorithm) {
     case perfsim::Algorithm::kIme: return "ime";
     case perfsim::Algorithm::kScalapack: return "scalapack";
-    case perfsim::Algorithm::kJacobi: return "jacobi";
     case perfsim::Algorithm::kCg: return "cg";
   }
   return "ime";
@@ -51,10 +50,9 @@ hw::LoadLayout parse_layout_token(const std::string& token) {
 perfsim::Algorithm parse_algorithm_token(const std::string& token) {
   if (token == "ime") return perfsim::Algorithm::kIme;
   if (token == "scalapack") return perfsim::Algorithm::kScalapack;
-  if (token == "jacobi") return perfsim::Algorithm::kJacobi;
   if (token == "cg") return perfsim::Algorithm::kCg;
-  throw InvalidArgument(
-      "unknown algorithm (use ime | scalapack | jacobi | cg): " + token);
+  throw InvalidArgument("unknown algorithm (use ime | scalapack | cg): " +
+                        token);
 }
 
 perfsim::Precision parse_precision_token(const std::string& token) {
@@ -202,7 +200,9 @@ const Axis kAxes[] = {
      .codec = codec<&JobSpec::seed, CountCodec<std::uint64_t, 0>>()},
     {.name = "reps", .key = "reps", .flag = "reps",
      .codec = codec<&JobSpec::repetitions, CountCodec<int, 1>>()},
-    {.name = "iterations", .key = "iterations", .flag = "iterations",
+    // Key-only: the field no solver reads stays in every key (dropping it
+    // would orphan every journaled record), and no job may change it.
+    {.name = "iterations", .key = "iterations", .varies = 0,
      .codec = codec<&JobSpec::iterations, CountCodec<int, 1>>()},
     {.name = "power_cap_w", .key = "cap_w",
      .codec = codec<&JobSpec::power_cap_w, RealCodec<NonNegative>>()},
@@ -316,7 +316,6 @@ perfsim::Workload JobSpec::workload() const {
   out.algorithm = algorithm;
   out.n = n;
   out.nb = nb;
-  out.iterations = iterations;
   out.precision = precision;
   out.matrix = matrix;
   out.tolerance = tolerance;

@@ -52,7 +52,7 @@ struct JobSpec {
   std::size_t nb = 32;       // ScaLAPACK block size
   std::uint64_t seed = 1;
   int repetitions = 1;       // the paper uses 10 on the real machine
-  int iterations = 100;      // Jacobi sweep count (replay tier)
+  int iterations = 100;      // key text only: no job reads or varies it
   double power_cap_w = 0.0;  // per-package RAPL cap; 0 = uncapped
   /// fp64, or mixed: fp32 factorization + fp64 refinement (scalapack only).
   perfsim::Precision precision = perfsim::Precision::kFp64;

@@ -10,7 +10,7 @@
 
 namespace plin::perfsim {
 
-enum class Algorithm { kIme, kScalapack, kJacobi, kCg };
+enum class Algorithm { kIme, kScalapack, kCg };
 
 const char* to_string(Algorithm algorithm);
 
@@ -25,9 +25,6 @@ struct Workload {
   Algorithm algorithm = Algorithm::kScalapack;
   std::size_t n = 0;
   std::size_t nb = 64;      // ScaLAPACK block size (ignored by others)
-  int iterations = 100;     // Jacobi sweep count (ignored by the direct
-                            // solvers; pick from the tolerance/dominance
-                            // pair you plan to run)
   /// kMixed replays the fp32-factorize + fp64-refine GEPP variant
   /// (scalapack only — the refinement-iteration model in
   /// scalapack_model.cpp); every other algorithm requires kFp64.

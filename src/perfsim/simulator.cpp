@@ -8,7 +8,6 @@ const char* to_string(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kIme: return "IMe";
     case Algorithm::kScalapack: return "ScaLAPACK";
-    case Algorithm::kJacobi: return "Jacobi";
     case Algorithm::kCg: return "CG";
   }
   return "?";
@@ -23,7 +22,7 @@ Prediction Simulator::predict(const Workload& workload,
   if (workload.precision != Precision::kFp64) {
     PLIN_CHECK_MSG(workload.algorithm == Algorithm::kScalapack,
                    "perfsim: mixed precision is a GEPP (scalapack) variant; "
-                   "IMe/Jacobi have no fp32 path");
+                   "IMe and CG have no fp32 path");
     return predict_scalapack_mixed(machine_, placement, workload.n,
                                    workload.nb);
   }
@@ -32,9 +31,6 @@ Prediction Simulator::predict(const Workload& workload,
       return predict_ime(machine_, placement, workload.n);
     case Algorithm::kScalapack:
       return predict_scalapack(machine_, placement, workload.n, workload.nb);
-    case Algorithm::kJacobi:
-      return predict_jacobi(machine_, placement, workload.n,
-                            workload.iterations);
     case Algorithm::kCg:
       return predict_cg(machine_, placement, workload.n, workload.matrix,
                         workload.tolerance, workload.precond);

@@ -37,9 +37,6 @@ Prediction predict_ime(const hw::MachineSpec& machine,
 Prediction predict_scalapack(const hw::MachineSpec& machine,
                              const hw::Placement& placement, std::size_t n,
                              std::size_t nb);
-Prediction predict_jacobi(const hw::MachineSpec& machine,
-                          const hw::Placement& placement, std::size_t n,
-                          int iterations);
 
 /// Mixed-precision GEPP replay: the full factorization + solve pipeline at
 /// fp32 cost (half the bytes per element, twice the per-core peak), plus

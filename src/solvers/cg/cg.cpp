@@ -136,7 +136,7 @@ CgResult solve_pcg(xmpi::Comm& comm, const CgOptions& options) {
   const int rank = comm.rank();
 
   // Contiguous row blocks, padded to a uniform chunk so the solution can be
-  // gathered with a fixed-size gather (the Jacobi placement arithmetic).
+  // gathered with a fixed-size gather.
   const std::size_t chunk =
       (n + static_cast<std::size_t>(ranks) - 1) / ranks;
   const std::size_t lo = std::min(n, chunk * static_cast<std::size_t>(rank));

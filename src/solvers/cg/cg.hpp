@@ -3,8 +3,8 @@
 // families are SPD by construction (sparse/generate.hpp), so plain
 // (unpreconditioned) CG converges with the textbook guarantee.
 //
-// The distributed solver owns contiguous row blocks (the same
-// chunk = ceil(n / P) arithmetic placement as Jacobi), generates its block
+// The distributed solver owns contiguous row blocks (the
+// chunk = ceil(n / P) arithmetic placement), generates its block
 // locally from (kind, seed, n), trades ghost-column requests with its halo
 // neighbours only (the generated patterns are structurally symmetric), runs
 // one iteration shape, and gathers the solution to rank 0:

@@ -195,8 +195,7 @@ void Comm::send_impl(std::span<const std::byte> data, int dst, int tag,
   // pooled eager buffer (docs/xmpi.md).
   world_->deliver(dst_world, std::move(envelope), data);
 
-  RankState& state = me();
-  TrafficCounters& traffic = state.traffic;
+  TrafficCounters& traffic = me().traffic;
   if (control) {
     traffic.control_messages += 1;
     traffic.control_bytes += data.size();
@@ -208,7 +207,6 @@ void Comm::send_impl(std::span<const std::byte> data, int dst, int tag,
       traffic.halo_bytes += data.size();
     }
   }
-  state.peers.record_send(dst_world, data.size());
 }
 
 void Comm::recv_impl(std::span<std::byte> data, int src, int tag) {
@@ -238,10 +236,9 @@ void Comm::recv_impl(std::span<std::byte> data, int src, int tag) {
   if (!envelope.inplace && !envelope.payload.empty()) {
     std::memcpy(data.data(), envelope.payload.data(), envelope.bytes);
   }
-  RankState& state = me();
-  state.traffic.recv_messages += 1;
-  state.traffic.recv_bytes += envelope.bytes;
-  state.peers.record_recv(envelope.src_world, envelope.bytes);
+  TrafficCounters& traffic = me().traffic;
+  traffic.recv_messages += 1;
+  traffic.recv_bytes += envelope.bytes;
 }
 
 void Comm::barrier() {

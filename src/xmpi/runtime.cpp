@@ -159,18 +159,8 @@ RunResult Runtime::run(const RunConfig& config, const RankMain& rank_main) {
   }
   result.traffic = world.total_traffic();
   result.rank_traffic.reserve(static_cast<std::size_t>(world.size()));
-  if (config.peer_traffic) {
-    result.rank_peers.reserve(static_cast<std::size_t>(world.size()));
-  }
   for (int rank = 0; rank < world.size(); ++rank) {
-    RankState& state = world.rank_state(rank);
-    result.rank_traffic.push_back(state.traffic);
-    const std::uint64_t entries = state.peers.peer_count();
-    result.peer_entries_total += entries;
-    result.peer_entries_max = std::max(result.peer_entries_max, entries);
-    if (config.peer_traffic) {
-      result.rank_peers.push_back(state.peers.entries());
-    }
+    result.rank_traffic.push_back(world.rank_state(rank).traffic);
   }
   result.transport = world.transport_stats();
 

@@ -80,11 +80,6 @@ struct RunConfig {
   /// PAPI). Unlike RAPL it sees every domain of the node continuously and
   /// is not quantized to millisecond counter updates.
   double timeline_period_s = 0.0;
-  /// Copies every rank's sparse per-peer traffic map into
-  /// RunResult::rank_peers. Off by default: the copy is O(total peer
-  /// entries), which matters at 100k ranks (the cheap aggregate
-  /// peer_entries_* fields are always filled).
-  bool peer_traffic = false;
 };
 
 /// One wattmeter sample: average power over (t - period, t].
@@ -113,14 +108,6 @@ struct RunResult {
   /// Per-world-rank traffic — through_bytes() of rank 0 is the root-funnel
   /// load the scalable collectives eliminate (bench_collectives).
   std::vector<TrafficCounters> rank_traffic;
-  /// Per-world-rank sparse peer traffic (sorted by peer); filled only when
-  /// RunConfig::peer_traffic is set.
-  std::vector<std::vector<PeerTraffic>> rank_peers;
-  /// Always-on aggregates of the sparse peer maps: total entries across
-  /// all ranks and the largest per-rank peer count — the O(log P)-peers
-  /// property bench_scale gates on.
-  std::uint64_t peer_entries_total = 0;
-  std::uint64_t peer_entries_max = 0;
   /// Per-node, per-package energy integrated over [0, duration_s].
   EnergyReport energy;
   /// Core-seconds by activity, summed over every core of the run — the

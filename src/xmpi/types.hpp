@@ -2,10 +2,8 @@
 // descriptors and traffic counters.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace plin::xmpi {
 
@@ -111,51 +109,6 @@ struct TrafficCounters {
                            halo_messages - other.halo_messages,
                            halo_bytes - other.halo_bytes};
   }
-};
-
-/// Per-peer message/volume totals of one rank (peer = world rank).
-struct PeerTraffic {
-  int peer = 0;
-  std::uint64_t sent_messages = 0;
-  std::uint64_t sent_bytes = 0;
-  std::uint64_t recv_messages = 0;
-  std::uint64_t recv_bytes = 0;
-};
-
-/// Sparse per-peer traffic map: a vector sorted by peer world rank, grown
-/// only on first contact. Under the scalable collective schedules a rank
-/// talks to O(log P) peers, so at 100k ranks this stays a handful of cache
-/// lines where a dense P-wide row would be 3+ MB per rank. The entries sum
-/// to the rank's TrafficCounters by construction (pinned by
-/// xmpi_scale_test's dense-mirror check).
-class PeerCounters {
- public:
-  void record_send(int peer, std::uint64_t bytes) {
-    PeerTraffic& entry = slot(peer);
-    entry.sent_messages += 1;
-    entry.sent_bytes += bytes;
-  }
-
-  void record_recv(int peer, std::uint64_t bytes) {
-    PeerTraffic& entry = slot(peer);
-    entry.recv_messages += 1;
-    entry.recv_bytes += bytes;
-  }
-
-  /// Entries in increasing peer order.
-  const std::vector<PeerTraffic>& entries() const { return entries_; }
-  std::size_t peer_count() const { return entries_.size(); }
-
- private:
-  PeerTraffic& slot(int peer) {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), peer,
-        [](const PeerTraffic& entry, int key) { return entry.peer < key; });
-    if (it != entries_.end() && it->peer == peer) return *it;
-    return *entries_.insert(it, PeerTraffic{peer, 0, 0, 0, 0});
-  }
-
-  std::vector<PeerTraffic> entries_;
 };
 
 }  // namespace plin::xmpi

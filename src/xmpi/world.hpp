@@ -40,9 +40,6 @@ struct RankState {
   Mailbox mailbox;
   trace::HardwareContext hw_context;
   TrafficCounters traffic;  // this rank's share of send-side counters
-  /// Sparse per-peer traffic map, grown on first contact — O(log P)
-  /// entries per rank under the scalable schedules.
-  PeerCounters peers;
   /// Span recorder (src/prof); allocated by World::set_tracing, null when
   /// tracing is off.
   std::unique_ptr<prof::SpanRecorder> prof;

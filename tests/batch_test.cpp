@@ -341,20 +341,78 @@ TEST(SpecTest, EveryAxisRoundTripsTokenJsonAndGridLine) {
     axis.codec.parse(reparsed, axis.codec.print(spec));
     EXPECT_TRUE(axis.codec.same(reparsed, spec));
 
-    const JobSpec decoded = spec_from_json(spec_to_json(spec));
-    EXPECT_TRUE(axis.codec.same(decoded, spec));
-    EXPECT_EQ(decoded.key(), spec.key());
-
     const CampaignManifest m = parse_manifest(
         std::string("grid algorithm ") + algorithm_token(base.algorithm) +
         "\ngrid " + axis.name + " " + axis.codec.print(base) + " " +
         sample->second + "\n");
     const std::vector<JobSpec> jobs = m.expand();
+    if (axis.varies == 0) {
+      // Key-only: the codec and the grid refuse the non-default value.
+      EXPECT_THROW(spec_from_json(spec_to_json(spec)), InvalidArgument);
+      ASSERT_EQ(jobs.size(), 1u);
+      EXPECT_EQ(m.job_count(), 1u);
+      EXPECT_EQ(jobs[0].key(), base.key());
+      continue;
+    }
+
+    const JobSpec decoded = spec_from_json(spec_to_json(spec));
+    EXPECT_TRUE(axis.codec.same(decoded, spec));
+    EXPECT_EQ(decoded.key(), spec.key());
     ASSERT_EQ(jobs.size(), 2u);
     EXPECT_EQ(m.job_count(), 2u);
     EXPECT_EQ(jobs[0].key(), base.key());
     EXPECT_EQ(jobs[1].key(), spec.key());
   }
+}
+
+TEST(SpecTest, IterationsIsKeyOnly) {
+  // No solver reads `iterations`, but every journaled key carries it, so
+  // its key text stays while every non-default value is refused.
+  const Axis* axis = find_axis("iterations");
+  ASSERT_NE(axis, nullptr);
+  EXPECT_EQ(axis->flag, nullptr);
+  for (const perfsim::Algorithm a :
+       {perfsim::Algorithm::kIme, perfsim::Algorithm::kScalapack,
+        perfsim::Algorithm::kCg}) {
+    JobSpec spec;
+    spec.algorithm = a;
+    EXPECT_NE(spec.canonical().find("|iterations=100|"), std::string::npos);
+    EXPECT_NO_THROW(validate(spec));
+    spec.iterations = 50;
+    try {
+      validate(spec);
+      ADD_FAILURE() << "iterations 50 accepted for " << algorithm_token(a);
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("iterations 50"),
+                std::string::npos);
+    }
+  }
+  // A grid whose every point carries the value expands to nothing.
+  EXPECT_THROW(parse_manifest("grid algorithm ime scalapack cg\n"
+                              "iterations 50\n"),
+               Error);
+}
+
+TEST(SpecTest, JacobiIsNotAnAlgorithm) {
+  // Dense Jacobi is not an algorithm: its token fails wherever a job is
+  // written, on either tier, and the error lists the valid ones.
+  JobSpec spec;
+  try {
+    find_axis("algorithm")->codec.parse(spec, "jacobi");
+    ADD_FAILURE() << "jacobi parsed";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("use ime | scalapack | cg"),
+              std::string::npos);
+  }
+  for (const char* tier : {"numeric", "replay"}) {
+    EXPECT_THROW(spec_from_json(json::parse(
+                     std::string(R"({"algorithm":"jacobi","tier":")") +
+                     tier + "\"}")),
+                 InvalidArgument)
+        << tier;
+  }
+  EXPECT_THROW(parse_manifest("grid algorithm ime jacobi\n"),
+               InvalidArgument);
 }
 
 TEST(SpecTest, MachineNamesResolve) {
@@ -366,32 +424,25 @@ TEST(SpecTest, MachineNamesResolve) {
 }
 
 /// One spec per axis rule the key has to honour: the dense default, a mixed
-/// scalapack job, a power cap, replay jacobi with its sweep count, and the
-/// cg matrix/precond suffixes.
+/// scalapack job, a power cap, and the cg matrix/precond suffixes.
 std::vector<JobSpec> pinned_specs() {
-  std::vector<JobSpec> specs(7);
+  std::vector<JobSpec> specs(6);
   specs[1].algorithm = perfsim::Algorithm::kScalapack;
   specs[1].precision = perfsim::Precision::kMixed;
   specs[1].n = 1024;
   specs[1].ranks = 16;
   specs[2].machine = "mini:8x4";
   specs[2].power_cap_w = 37.5;
-  specs[3].tier = Tier::kReplay;
-  specs[3].machine = "marconi";
-  specs[3].algorithm = perfsim::Algorithm::kJacobi;
-  specs[3].n = 8640;
-  specs[3].ranks = 144;
-  specs[3].iterations = 50;
+  specs[3].algorithm = perfsim::Algorithm::kCg;
+  specs[3].n = 4096;
   specs[4].algorithm = perfsim::Algorithm::kCg;
   specs[4].n = 4096;
+  specs[4].ranks = 8;
+  specs[4].matrix = sparse::SparseKind::kBanded;
+  specs[4].precond = solvers::CgPrecond::kJacobi;
   specs[5].algorithm = perfsim::Algorithm::kCg;
-  specs[5].n = 4096;
-  specs[5].ranks = 8;
-  specs[5].matrix = sparse::SparseKind::kBanded;
-  specs[5].precond = solvers::CgPrecond::kJacobi;
-  specs[6].algorithm = perfsim::Algorithm::kCg;
-  specs[6].matrix = sparse::SparseKind::kBlockDiag;
-  specs[6].seed = 9;
+  specs[5].matrix = sparse::SparseKind::kBlockDiag;
+  specs[5].seed = 9;
   return specs;
 }
 
@@ -410,9 +461,6 @@ TEST(SpecTest, CanonicalStringsAndKeysArePinned) {
       {"plin-batch-v1|tier=numeric|machine=mini:8x4|algorithm=ime|n=256|"
        "ranks=4|layout=full|nb=32|seed=1|reps=1|iterations=100|cap_w=37.5",
        "48b86bfcead81018"},
-      {"plin-batch-v1|tier=replay|machine=marconi|algorithm=jacobi|n=8640|"
-       "ranks=144|layout=full|nb=32|seed=1|reps=1|iterations=50|cap_w=0",
-       "fab238030fb8dac4"},
       {"plin-batch-v1|tier=numeric|machine=mini:16x4|algorithm=cg|n=4096|"
        "ranks=4|layout=full|nb=32|seed=1|reps=1|iterations=100|cap_w=0|"
        "matrix=stencil5",
@@ -570,10 +618,10 @@ std::vector<JobRecord> pinned_records() {
                             pinned_rep(0.00125, 0, 0)};
   records[1].spec = specs[1];
   records[1].repetitions = {pinned_rep(0.0421, 0, 0)};
-  records[2].spec = specs[4];
+  records[2].spec = specs[3];
   records[2].repetitions = {pinned_rep(0.0005, 61, 20224),
                             pinned_rep(0.0005, 61, 20224)};
-  records[3].spec = specs[5];
+  records[3].spec = specs[4];
   records[3].repetitions = {pinned_rep(0.0004, 42, 69184)};
   return records;
 }
@@ -746,6 +794,29 @@ TEST(StoreTest, StaleKeysAreSkippedNotFatal) {
   EXPECT_EQ(store.skipped_stale(), 1u);
 }
 
+TEST(StoreTest, JournaledJacobiRecordIsSkippedAsStale) {
+  // A store written while dense Jacobi existed still opens: its jacobi
+  // record no longer decodes and counts as a stale cache miss, and the
+  // records around it are served as before.
+  const std::string dir = scratch_dir("store_jacobi");
+  std::filesystem::create_directories(dir);
+  std::ofstream(fs::path(dir) / "journal.jsonl")
+      << R"({"key":"fab238030fb8dac4","spec":{"tier":"replay",)"
+         R"("machine":"marconi","algorithm":"jacobi","n":8640,"ranks":144,)"
+         R"("layout":"full","nb":32,"seed":1,"reps":1,"iterations":50,)"
+         R"("power_cap_w":0},"reps":[{"duration_s":0.020682535272727277,)"
+         R"("pkg0_j":6.8480558120727286,"pkg1_j":6.8480558120727286,)"
+         R"("dram0_j":1.6915892640000001,"dram1_j":1.6915892640000001,)"
+         R"("residual":0,"host_s":4.2077999999999999e-05}]})"
+      << "\n"
+      << json::serialize(to_json(sample_record())) << "\n";
+  const ResultStore store(dir);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.skipped_stale(), 1u);
+  EXPECT_EQ(json::serialize(to_json(store.lookup(sample_record().key()))),
+            json::serialize(to_json(sample_record())));
+}
+
 // --- queue ------------------------------------------------------------------
 
 TEST(QueueTest, ExecutesThenServesFromCache) {
@@ -854,12 +925,6 @@ TEST(QueueTest, TimeoutDiscardsOverBudgetJobs) {
 }
 
 // --- runner -----------------------------------------------------------------
-
-TEST(RunnerTest, NumericTierRejectsJacobi) {
-  JobSpec spec;
-  spec.algorithm = perfsim::Algorithm::kJacobi;
-  EXPECT_THROW(execute_job(spec), Error);
-}
 
 TEST(RunnerTest, ReplayTierProducesPaperScaleRecord) {
   JobSpec spec;

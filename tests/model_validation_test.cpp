@@ -10,7 +10,6 @@
 #include "perfsim/simulator.hpp"
 #include "solvers/gepp/pdgesv.hpp"
 #include "solvers/ime/imep.hpp"
-#include "solvers/jacobi/jacobi.hpp"
 #include "support/units.hpp"
 #include "xmpi/runtime.hpp"
 
@@ -74,41 +73,6 @@ TEST_P(TierConsistency, ScalapackDurationAndEnergyMatchExecution) {
   const Simulator simulator(config.machine);
   const Prediction predicted = simulator.predict(
       Workload{Algorithm::kScalapack, c.n, nb}, config.placement);
-
-  EXPECT_LT(rel_diff(predicted.duration_s, executed.duration_s), 0.40)
-      << "duration: predicted " << predicted.duration_s << " executed "
-      << executed.duration_s;
-  EXPECT_LT(rel_diff(predicted.total_j(), executed.energy.total_j()), 0.40)
-      << "energy: predicted " << predicted.total_j() << " executed "
-      << executed.energy.total_j();
-}
-
-TEST(JacobiTierConsistency, PredictionTracksExecution) {
-  xmpi::RunConfig config;
-  config.machine = hw::mini_cluster(32, 4);
-  config.placement =
-      hw::make_placement(16, hw::LoadLayout::kFullLoad, config.machine);
-
-  int iterations = 0;
-  const xmpi::RunResult executed =
-      xmpi::Runtime::run(config, [&](xmpi::Comm& comm) {
-        solvers::JacobiOptions options;
-        options.n = 512;
-        options.seed = 7;
-        options.tolerance = 1e-10;
-        options.dominance = 1.2;
-        const solvers::JacobiResult result = solve_pjacobi(comm, options);
-        if (comm.rank() == 0) iterations = result.iterations;
-      });
-  ASSERT_GT(iterations, 10);
-
-  const Simulator simulator(config.machine);
-  Workload workload;
-  workload.algorithm = Algorithm::kJacobi;
-  workload.n = 512;
-  workload.iterations = iterations;
-  const Prediction predicted =
-      simulator.predict(workload, config.placement);
 
   EXPECT_LT(rel_diff(predicted.duration_s, executed.duration_s), 0.40)
       << "duration: predicted " << predicted.duration_s << " executed "

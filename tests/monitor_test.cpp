@@ -14,6 +14,7 @@
 #include "monitor/campaign.hpp"
 #include "monitor/monitoring.hpp"
 #include "monitor/white_box.hpp"
+#include "solvers/cg/cg.hpp"
 #include "solvers/ime/imep.hpp"
 #include "xmpi/runtime.hpp"
 
@@ -172,7 +173,8 @@ struct MonitoredOutputs {
   RunMeasurement measured;
 };
 
-MonitoredOutputs run_monitored(std::size_t workers, std::size_t n) {
+MonitoredOutputs run_monitored(std::size_t workers,
+                               void (*workload)(xmpi::Comm&)) {
   xmpi::RunConfig config;
   config.machine = hw::mini_cluster(/*nodes=*/8, /*cores_per_socket=*/4);
   config.placement =
@@ -182,9 +184,7 @@ MonitoredOutputs run_monitored(std::size_t workers, std::size_t n) {
   const xmpi::RunResult run =
       xmpi::Runtime::run(config, [&](xmpi::Comm& world) {
         const RunMeasurement m =
-            monitored_run(world, MonitorOptions{}, [n](xmpi::Comm& comm) {
-              if (n > 0) run_solver(comm, n);
-            });
+            monitored_run(world, MonitorOptions{}, workload);
         if (world.rank() == 0) out.measured = m;
       });
   out.duration_s = run.duration_s;
@@ -195,17 +195,29 @@ MonitoredOutputs run_monitored(std::size_t workers, std::size_t n) {
 
 TEST(WhiteBoxMonitor, OutputsAreBitIdenticalAcrossWorkerCounts) {
   // Host scheduling must not reach virtual time or energy: every run of
-  // the same job, at any worker count, reports the same bits. n = 0 is
-  // the empty workload, where the report gather is all that happens.
-  for (const std::size_t n : {std::size_t{0}, std::size_t{256}}) {
-    const MonitoredOutputs reference = run_monitored(1, n);
+  // the same job, at any worker count, reports the same bits. The empty
+  // workload leaves only the report gather; IMe is one dense point; CG on
+  // the random family is the memory-bound halo/allreduce loop.
+  const std::pair<const char*, void (*)(xmpi::Comm&)> workloads[] = {
+      {"empty", [](xmpi::Comm&) {}},
+      {"ime n=256", [](xmpi::Comm& comm) { run_solver(comm, 256); }},
+      {"cg random n=8192",
+       [](xmpi::Comm& comm) {
+         solvers::CgOptions options;
+         options.kind = sparse::SparseKind::kRandom;
+         options.n = 8192;
+         (void)solve_pcg(comm, options);
+       }},
+  };
+  for (const auto& [name, workload] : workloads) {
+    const MonitoredOutputs reference = run_monitored(1, workload);
     ASSERT_EQ(reference.measured.nodes.size(), 2u);
     for (const std::size_t workers : {1u, 2u, 4u, 16u}) {
       for (int rep = 0; rep < 5; ++rep) {
-        SCOPED_TRACE("n=" + std::to_string(n) +
+        SCOPED_TRACE(std::string(name) +
                      " workers=" + std::to_string(workers) +
                      " rep=" + std::to_string(rep));
-        const MonitoredOutputs got = run_monitored(workers, n);
+        const MonitoredOutputs got = run_monitored(workers, workload);
         EXPECT_EQ(got.duration_s, reference.duration_s);
         EXPECT_EQ(got.rank_times, reference.rank_times);
         EXPECT_EQ(got.total_j, reference.total_j);

@@ -100,7 +100,8 @@ TEST(ProtocolTest, RejectsGarbage) {
        {R"({"n":-5})", R"({"n":2.5})", R"({"nb":0})", R"({"reps":0})",
         R"({"ranks":3e9})", R"({"seed":1e20})", R"({"power_cap_w":-1})",
         R"({"tolerance":0})", R"({"precision":"mixed"})",
-        R"({"matrix":"banded"})"}) {
+        R"({"matrix":"banded"})", R"({"iterations":50})",
+        R"({"algorithm":"jacobi"})"}) {
     EXPECT_THROW(parse_request(std::string(R"({"op":"submit","spec":)") +
                                spec + "}"),
                  InvalidArgument)

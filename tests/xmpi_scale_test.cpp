@@ -6,9 +6,7 @@
 //     allgather and recursive-doubling paths;
 //   * the Bruck allgather (picked above 128 ranks) produces the same bytes
 //     as the tree schedule;
-//   * the sparse per-rank PeerCounters agree with a dense mirror, stay
-//     O(log P) under the scalable schedules, and reconcile with the
-//     aggregate TrafficCounters through RunResult;
+//   * under the scalable schedules each rank talks to O(log P) peers;
 //   * the StackPool recycles released stacks instead of mapping new ones.
 #include <gtest/gtest.h>
 
@@ -19,6 +17,7 @@
 #include <vector>
 
 #include "hwmodel/placement.hpp"
+#include "prof/recorder.hpp"
 #include "xmpi/runtime.hpp"
 #include "xmpi/stackpool.hpp"
 
@@ -166,108 +165,31 @@ TEST(ScalableScaleTest, BruckAllgatherMatchesTreeAbove128Ranks) {
   expect_bits_equal(tree_out, bruck_out);
 }
 
-// ---- sparse per-peer accounting --------------------------------------------
+// ---- per-peer fan-out -------------------------------------------------------
 
-TEST(PeerCountersTest, MatchesDenseMirror) {
-  constexpr int kPeers = 37;
-  PeerCounters sparse;
-  std::vector<PeerTraffic> dense(kPeers);
-  for (int i = 0; i < kPeers; ++i) dense[static_cast<std::size_t>(i)].peer = i;
-  // Deterministic scatter of sends/recvs over a few peers, out of order
-  // and with repeats.
-  for (int step = 0; step < 500; ++step) {
-    const int peer = (step * 17 + 5) % kPeers;
-    const std::uint64_t bytes = static_cast<std::uint64_t>(step % 96);
-    auto& mirror = dense[static_cast<std::size_t>(peer)];
-    if (step % 3 == 0) {
-      sparse.record_recv(peer, bytes);
-      mirror.recv_messages += 1;
-      mirror.recv_bytes += bytes;
-    } else {
-      sparse.record_send(peer, bytes);
-      mirror.sent_messages += 1;
-      mirror.sent_bytes += bytes;
-    }
-  }
-  // Drop untouched peers from the mirror; the sparse map must hold exactly
-  // the touched ones, sorted by peer.
-  std::vector<PeerTraffic> touched;
-  for (const PeerTraffic& p : dense) {
-    if (p.sent_messages + p.recv_messages > 0) touched.push_back(p);
-  }
-  const std::vector<PeerTraffic>& entries = sparse.entries();
-  ASSERT_EQ(entries.size(), touched.size());
-  EXPECT_EQ(sparse.peer_count(), touched.size());
-  EXPECT_TRUE(std::is_sorted(
-      entries.begin(), entries.end(),
-      [](const PeerTraffic& a, const PeerTraffic& b) { return a.peer < b.peer; }));
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].peer, touched[i].peer);
-    EXPECT_EQ(entries[i].sent_messages, touched[i].sent_messages);
-    EXPECT_EQ(entries[i].sent_bytes, touched[i].sent_bytes);
-    EXPECT_EQ(entries[i].recv_messages, touched[i].recv_messages);
-    EXPECT_EQ(entries[i].recv_bytes, touched[i].recv_bytes);
-  }
-}
-
-TEST(PeerCountersTest, RunResultPeerMapsReconcileWithTrafficCounters) {
-  // Every send/recv records into both the aggregate TrafficCounters and
-  // the sparse peer map, so per rank the map must sum to the aggregates.
-  RunConfig config = scale_config(12, CollectiveMode::kScalable);
-  config.peer_traffic = true;
+TEST(PeerCountersTest, ScalableSchedulesKeepPeerMapsLogarithmic) {
+  // The O(log P)-peers property of the scalable schedules: no rank talks
+  // to more than a few dozen peers even at hundreds of ranks (the tree
+  // schedules funnel O(P) peers into root). The traced run's exact
+  // per-peer counters (prof's communication matrix) show it.
+  if (!prof::kCompiledIn) GTEST_SKIP() << "built with -DPLIN_PROF=OFF";
+  RunConfig config = scale_config(200, CollectiveMode::kScalable);
+  config.trace = true;
   const RunResult run = Runtime::run(config, [](Comm& comm) {
-    std::vector<double> data(40, comm.rank() * 0.5);
-    std::vector<double> out(40);
+    std::vector<double> data(8, 1.0);
+    std::vector<double> out(8);
     comm.allreduce(std::span<const double>(data), std::span<double>(out),
                    ReduceOp::kSum);
     comm.barrier();
-    const int next = (comm.rank() + 1) % comm.size();
-    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
-    comm.send_value(comm.rank(), next, /*tag=*/2);
-    (void)comm.recv_value<int>(prev, /*tag=*/2);
   });
-  ASSERT_EQ(run.rank_peers.size(), 12u);
-  std::uint64_t entries_total = 0;
-  std::uint64_t entries_max = 0;
-  for (std::size_t rank = 0; rank < run.rank_peers.size(); ++rank) {
-    const TrafficCounters& traffic = run.rank_traffic[rank];
-    std::uint64_t sent_messages = 0;
-    std::uint64_t sent_bytes = 0;
-    std::uint64_t recv_messages = 0;
-    std::uint64_t recv_bytes = 0;
-    for (const PeerTraffic& peer : run.rank_peers[rank]) {
-      sent_messages += peer.sent_messages;
-      sent_bytes += peer.sent_bytes;
-      recv_messages += peer.recv_messages;
-      recv_bytes += peer.recv_bytes;
-    }
-    EXPECT_EQ(sent_messages,
-              traffic.data_messages + traffic.control_messages);
-    EXPECT_EQ(sent_bytes, traffic.data_bytes + traffic.control_bytes);
-    EXPECT_EQ(recv_messages, traffic.recv_messages);
-    EXPECT_EQ(recv_bytes, traffic.recv_bytes);
-    entries_total += run.rank_peers[rank].size();
-    entries_max = std::max(
-        entries_max, static_cast<std::uint64_t>(run.rank_peers[rank].size()));
+  ASSERT_NE(run.trace, nullptr);
+  ASSERT_EQ(run.trace->ranks.size(), 200u);
+  std::size_t peers_max = 0;
+  for (const prof::RankTrace& rank : run.trace->ranks) {
+    peers_max = std::max(peers_max, rank.peers.size());
   }
-  EXPECT_EQ(run.peer_entries_total, entries_total);
-  EXPECT_EQ(run.peer_entries_max, entries_max);
-}
-
-TEST(PeerCountersTest, ScalableSchedulesKeepPeerMapsLogarithmic) {
-  // The O(log P)-peers property bench_scale gates on: under the scalable
-  // schedules no rank talks to more than a few-dozen peers even at
-  // hundreds of ranks (the tree schedules funnel O(P) peers into root).
-  const RunResult run = Runtime::run(
-      scale_config(200, CollectiveMode::kScalable), [](Comm& comm) {
-        std::vector<double> data(8, 1.0);
-        std::vector<double> out(8);
-        comm.allreduce(std::span<const double>(data), std::span<double>(out),
-                       ReduceOp::kSum);
-        comm.barrier();
-      });
-  EXPECT_GT(run.peer_entries_max, 0u);
-  EXPECT_LE(run.peer_entries_max, 48u);  // ~2 rounds of log2(200) + slack
+  EXPECT_GT(peers_max, 0u);
+  EXPECT_LE(peers_max, 48u);  // ~2 rounds of log2(200) + slack
 }
 
 // ---- stack pool ------------------------------------------------------------

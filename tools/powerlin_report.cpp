@@ -57,8 +57,7 @@ class Grid {
                {hw::LoadLayout::kFullLoad, hw::LoadLayout::kHalfLoadOneSocket,
                 hw::LoadLayout::kHalfLoadTwoSockets}) {
             grid_[key(a, n, ranks, layout)] = simulator.predict(
-                {a, n, 64, 100},
-                hw::make_placement(ranks, layout, machine));
+                {a, n, 64}, hw::make_placement(ranks, layout, machine));
           }
         }
       }

@@ -14,12 +14,10 @@
 #include "hwmodel/placement.hpp"
 #include "monitor/campaign.hpp"
 #include "perfsim/simulator.hpp"
-#include "solvers/jacobi/jacobi.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
 #include "support/version.hpp"
-#include "xmpi/runtime.hpp"
 
 namespace {
 
@@ -29,7 +27,7 @@ constexpr const char* kUsage = R"(powerlin_run — energy profiling driver
 
 One-off modes:
   --tier       numeric (execute on xmpi, default) | replay (perfsim)
-  --algorithm  ime (default) | scalapack | jacobi | cg
+  --algorithm  ime (default) | scalapack | cg
   --n          matrix dimension (default 512 numeric / 17280 replay)
   --ranks      MPI ranks (default 16 numeric / 576 replay)
   --layout     full (default) | half1 | half2
@@ -39,9 +37,7 @@ One-off modes:
   --precision  fp64 (default) | mixed (fp32 factorization + fp64 iterative
                refinement; scalapack only — docs/mixed_precision.md; the
                replay tier prices it with the refinement-iteration model)
-  --tol        Jacobi tolerance (default 1e-12); CG tolerance (default 1e-11)
-  --dominance  Jacobi diagonal dominance (default 0)
-  --iterations Jacobi replay sweep count (default 100)
+  --tol        CG relative-residual tolerance (default 1e-11)
   --matrix     CG sparse family: stencil5 (default) | stencil9 | stencil27 |
                banded | random | blockdiag (docs/sparse.md)
   --precond    CG preconditioner: none (default) | jacobi (diagonal)
@@ -88,8 +84,7 @@ monitor::JobSpec spec_from_flags(const CliArgs& args) {
     spec.ranks = 16;
   }
   // Table order parses --algorithm first; a flag whose field the algorithm
-  // does not carry (--matrix for ime, --tol for Jacobi's own solver) is
-  // not part of the job.
+  // does not carry (--matrix or --tol for ime) is not part of the job.
   for (const monitor::Axis& axis : monitor::axes()) {
     if (axis.flag != nullptr && args.has(axis.flag) &&
         axis.applies_to(spec.algorithm)) {
@@ -128,30 +123,6 @@ int run_replay(const monitor::JobSpec& spec) {
 
 int run_numeric(const CliArgs& args, const monitor::JobSpec& spec) {
   const hw::MachineSpec machine = batch::machine_from_name(spec.machine);
-  if (spec.algorithm == perfsim::Algorithm::kJacobi) {
-    xmpi::RunConfig config;
-    config.machine = machine;
-    config.placement = hw::make_placement(spec.ranks, spec.layout, machine);
-    config.trace_dir = args.get("trace-dir", "");
-    solvers::JacobiResult result;
-    const xmpi::RunResult run =
-        xmpi::Runtime::run(config, [&](xmpi::Comm& comm) {
-          solvers::JacobiOptions options;
-          options.n = spec.n;
-          options.seed = spec.seed;
-          options.tolerance = args.get_double("tol", 1e-12);
-          options.dominance = args.get_double("dominance", 0.0);
-          const solvers::JacobiResult r = solve_pjacobi(comm, options);
-          if (comm.rank() == 0) result = r;
-        });
-    std::cout << "Jacobi: " << (result.converged ? "converged" : "DID NOT "
-                                                                 "converge")
-              << " in " << result.iterations << " iterations, duration "
-              << format_duration(run.duration_s) << ", energy "
-              << format_energy(run.energy.total_j()) << "\n";
-    return result.converged ? 0 : 1;
-  }
-
   monitor::MonitorOptions options;
   options.output_dir = args.get("out", "");
   options.trace_dir = args.get("trace-dir", "");
@@ -207,11 +178,9 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   try {
     args.require_known({"tier", "algorithm", "n", "ranks", "layout", "nb",
-                        "seed", "reps", "precision", "tol", "dominance",
-                        "iterations", "matrix", "precond", "out", "campaign",
-                        "store",
-                        "workers", "max-jobs", "trace-dir", "version",
-                        "help"});
+                        "seed", "reps", "precision", "tol", "matrix",
+                        "precond", "out", "campaign", "store", "workers",
+                        "max-jobs", "trace-dir", "version", "help"});
     if (args.get_bool("help", false)) {
       std::cout << kUsage;
       return 0;
