@@ -4,7 +4,10 @@
 // spawn, spawn+collectives, ring point-to-point, fan-in gather) on the
 // worker pool, prints a host wall-clock table and writes `BENCH_xmpi.json`
 // (bench/harness.hpp schema) so runtime performance has a recorded
-// trajectory. Host timings only: the harness has no --check.
+// trajectory. Two scheduler latencies ride along: `pingpong_cross_us`, one
+// round trip of a 2-rank ping-pong on 2 workers, and `park_resume_ns`, the
+// host time per park→resume of a 2-rank ping-pong on 1 worker. Host
+// timings only: the harness has no --check.
 //
 // Flags (bench/harness.hpp): --smoke for small rank counts.
 #include <algorithm>
@@ -127,6 +130,25 @@ HarnessResult measure(const WorkloadSpec& spec, int ranks) {
   return result;
 }
 
+/// Two ranks bounce one int `rounds` times: every receive parks its rank,
+/// every send wakes the other one.
+xmpi::RunResult ping_pong(int rounds, std::size_t workers) {
+  xmpi::RunConfig config = harness_config(2);
+  config.workers = workers;
+  return xmpi::Runtime::run(config, [rounds](xmpi::Comm& comm) {
+    const int peer = 1 - comm.rank();
+    for (int round = 0; round < rounds; ++round) {
+      if (comm.rank() == 0) {
+        comm.send_value(round, peer, /*tag=*/1);
+        (void)comm.recv_value<int>(peer, /*tag=*/1);
+      } else {
+        (void)comm.recv_value<int>(peer, /*tag=*/1);
+        comm.send_value(round, peer, /*tag=*/1);
+      }
+    }
+  });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -164,5 +186,24 @@ int main(int argc, char** argv) {
              bench::Clock::kNone);
   }
   std::printf("\n");
+
+  const int rounds = h.smoke() ? 5000 : 50000;
+  const double cross_s =
+      bench::best_seconds([&] { bench::keep(ping_pong(rounds, 2).duration_s); });
+  std::uint64_t parks = 0;
+  const double local_s = bench::best_seconds([&] {
+    const xmpi::RunResult run = ping_pong(rounds, 1);
+    parks = run.host_parks;
+    bench::keep(run.duration_s);
+  });
+  const double pingpong_cross_us = cross_s / rounds * 1e6;
+  const double park_resume_ns =
+      local_s / static_cast<double>(std::max<std::uint64_t>(parks, 1)) * 1e9;
+  std::printf("ping-pong, %d rounds: %.3f us per round trip on 2 workers, "
+              "%.1f ns per park->resume on 1 worker (%llu parks)\n\n",
+              rounds, pingpong_cross_us, park_resume_ns,
+              static_cast<unsigned long long>(parks));
+  h.record("pingpong_cross_us", pingpong_cross_us, "us", bench::Clock::kHost);
+  h.record("park_resume_ns", park_resume_ns, "ns", bench::Clock::kHost);
   return h.finish();
 }

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <limits>
 #include <span>
+#include <string>
+#include <string_view>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -67,11 +69,38 @@ void set_axis(CampaignManifest& manifest, const KvLine& line,
   }
 }
 
+/// Largest grid a manifest may expand to.
+constexpr std::size_t kMaxJobs = 100000;
+
 // Saturating arithmetic, so an absurd grid cannot wrap past the size limit.
 constexpr std::size_t kSizeMax = std::numeric_limits<std::size_t>::max();
 
 std::size_t saturating_mul(std::size_t a, std::size_t b) {
   return b != 0 && a > kSizeMax / b ? kSizeMax : a * b;
+}
+
+/// Why `manifest` expands to no job: for each algorithm in the grid, the
+/// first axis none of whose grid values that algorithm accepts.
+std::string empty_grid_reason(const CampaignManifest& manifest) {
+  const std::span<const Axis> table = axes();
+  std::string reason;
+  for (const JobSpec& point : manifest.values("algorithm")) {
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      if (std::string_view(table[i].name) == "algorithm") continue;
+      std::string tokens;
+      bool accepted = false;
+      for (const JobSpec& value : manifest.grid[i]) {
+        accepted = accepted || table[i].allows(value, point.algorithm);
+        tokens += " " + table[i].codec.print(value);
+      }
+      if (accepted) continue;
+      reason += (reason.empty() ? "" : ", ") +
+                std::string(algorithm_token(point.algorithm)) +
+                " does not accept " + table[i].name + tokens;
+      break;
+    }
+  }
+  return reason;
 }
 
 }  // namespace
@@ -168,9 +197,15 @@ CampaignManifest parse_manifest(const std::string& text) {
       }
     }
   }
-  PLIN_CHECK_MSG(manifest.job_count() > 0, "manifest: empty grid");
-  PLIN_CHECK_MSG(manifest.job_count() <= 100000,
-                 "manifest: grid expands to more than 100000 jobs");
+  const std::size_t jobs = manifest.job_count();
+  if (jobs == 0) {
+    throw InvalidArgument("manifest: the grid expands to no job: " +
+                          empty_grid_reason(manifest));
+  }
+  if (jobs > kMaxJobs) {
+    throw InvalidArgument("manifest: the grid expands to more than " +
+                          std::to_string(kMaxJobs) + " jobs");
+  }
   return manifest;
 }
 

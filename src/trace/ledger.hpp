@@ -2,9 +2,12 @@
 // to produce the per-package and per-DRAM energies that the simulated RAPL
 // counters expose.
 //
-// One ledger exists per simulated node. Rank threads append activity
-// segments concurrently; the (rare) counter reads performed by the
-// monitoring rank scan and clip segments against the query time. Package
+// One ledger exists per simulated node. Each package has one append lane
+// per core, fixed at construction, each behind its own cache-line-aligned
+// mutex, so ranks on different cores append without contending; the
+// (rare) counter reads performed by the monitoring rank scan the lanes in
+// index order and clip segments against the query time. Power caps are
+// atomics, so reading one takes no lock. Package
 // energy at time t is
 //
 //   pkg_base * t  +  core_idle * (unused core-time)  +  sum of segment
@@ -16,6 +19,8 @@
 // than the busy one.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <mutex>
 #include <vector>
 
@@ -41,19 +46,20 @@ class EnergyLedger {
 
   /// Appends one activity segment executed on `package`. Thread-safe.
   ///
-  /// `lane` buckets the segment (typically by core index within the
-  /// package, i.e. one lane per rank). Reads accumulate lane by lane in
-  /// lane order, and each lane is appended by a single rank in its program
-  /// order — so every energy/traffic sum has a host-schedule-independent
-  /// floating-point association, part of xmpi's bit-identical-results
-  /// contract (docs/xmpi.md). Lanes grow on demand; callers that don't
-  /// care (tests) can leave everything in lane 0.
+  /// `lane` buckets the segment by core index within the package, in
+  /// [0, cores_per_package[package]) (InvalidArgument otherwise), i.e. one
+  /// lane per rank. Reads accumulate lane by lane in lane order, and each
+  /// lane is appended by a single rank in its program order — so every
+  /// energy/traffic sum has a host-schedule-independent floating-point
+  /// association, part of xmpi's bit-identical-results contract
+  /// (docs/xmpi.md). Callers that don't care (tests) can leave everything
+  /// in lane 0.
   void record(int package, const ActivitySegment& segment, int lane = 0);
 
   /// Sets (watts) or clears (0) the RAPL power cap of a package. Capping
   /// scales the dynamic energy of *subsequent* reads; the throughput side
   /// of the cap is applied by the execution engine via
-  /// PowerModel::cap_effect.
+  /// PowerModel::cap_effect. Lock-free on both sides.
   void set_package_cap(int package, double watts);
   double package_cap(int package) const;
 
@@ -78,16 +84,27 @@ class EnergyLedger {
   const hw::PowerModel& power_model() const { return power_; }
 
  private:
-  double dynamic_locked(int package, double t) const;
-  double traffic_locked(int package, double t) const;
+  /// One append-only log and the mutex guarding it, on its own cache line.
+  struct alignas(64) Lane {
+    mutable std::mutex mutex;
+    std::vector<ActivitySegment> segments;
+  };
+
+  /// Calls `visit(segment)` for every segment of `package`, lane by lane in
+  /// index order, each lane in append order, holding that lane's mutex.
+  template <typename Visit>
+  void for_each_segment(int package, Visit&& visit) const;
+
+  double dynamic_j(int package, double t) const;
+  void check_package(int package) const;
 
   hw::PowerModel power_;
   std::vector<int> cores_;
   std::vector<int> ranked_cores_;
-  std::vector<double> caps_w_;
-  /// segments_[package][lane] — per-package, per-lane append-only logs.
-  std::vector<std::vector<std::vector<ActivitySegment>>> segments_;
-  mutable std::mutex mutex_;
+  std::vector<std::atomic<double>> caps_w_;
+  /// Package p owns lanes_[first_lane_[p] .. first_lane_[p + 1]).
+  std::vector<std::size_t> first_lane_;
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace plin::trace

@@ -1,29 +1,38 @@
 // FiberScheduler — bounded worker pool multiplexing simulated ranks over
 // user-level stacks.
 //
-// Each rank runs on its own ucontext fiber, and N host workers (N ≈ cores,
-// not ranks) pull runnable fibers from a FIFO ready queue. Fiber stacks
-// are leased from the process-wide StackPool *lazily at first dispatch*
-// and returned the moment the rank's body finishes, so a 100k-rank run
-// whose ranks mostly wait holds stacks only for the ranks actually
-// in flight, and successive rank waves recycle the same few mappings
-// (see stackpool.hpp; PLIN_XMPI_STACK_GUARD picks the guard-page
-// geometry — per-stack guards by default up to 8192 ranks, one guard per
-// slab above that to stay under vm.max_map_count). When a rank blocks in
+// Each rank runs on its own fiber, and N host workers (N ≈ cores, not
+// ranks) run runnable fibers from per-worker ready lanes. A fiber switch is
+// a register-only x86-64 routine (callee-saved registers, MXCSR and the x87
+// control word, then a stack swap): no syscall per switch. Fiber stacks are
+// leased from the process-wide StackPool *lazily at first dispatch* and
+// returned the moment the rank's body finishes, so a 100k-rank run whose
+// ranks mostly wait holds stacks only for the ranks actually in flight,
+// and successive rank waves recycle the same few mappings (see
+// stackpool.hpp; PLIN_XMPI_STACK_GUARD picks the guard-page geometry —
+// per-stack guards by default up to 8192 ranks, one guard per slab above
+// that to stay under vm.max_map_count). When a rank blocks in
 // Mailbox::match / a collective, its fiber *parks*: it switches back to
-// the worker's scheduler context, freeing the worker to run another rank.
-// A matching post (or World::abort) *wakes* it — re-queues the fiber so
-// any worker can resume it where it left off. This keeps host thread
-// count bounded at paper-scale rank counts (1296 ranks ⇒ N threads, not
-// 1296) and removes per-message thundering-herd wakeups.
+// the worker, freeing it to run another rank. A matching post (or
+// World::abort) *wakes* it — pushes the fiber onto the waking worker's lane
+// (a wake from outside the pool goes to lane `index % workers`), where any
+// worker can resume it. An idle worker pops its own lane first, then
+// steals from the other lanes in order, and only then sleeps on an
+// eventcount; a push notifies only when a worker sleeps. This keeps host
+// thread count bounded at paper-scale rank counts (1296 ranks ⇒ N threads,
+// not 1296), and no lock is shared by every worker.
 //
-// Park/wake uses a two-phase handshake so the two may race freely:
-// park() switches to the worker *without* taking the scheduler lock; the
-// worker then completes the Running→Parked transition under the lock, and
-// a wake() that arrived in the gap is recorded as `wake_pending` and
-// converted into an immediate re-queue. A wake() on an already-runnable
-// fiber is a no-op beyond that flag, and the mailbox retry loop absorbs
-// spurious resumes.
+// Each fiber's state is an atomic state machine changed by CAS:
+//   Ready → Running → {Parked, RunningWoken, Finished};
+//   Parked → Ready (wake); RunningWoken → Ready (re-queued at switch-out).
+// park() switches out without any lock; the worker then moves
+// Running→Parked. A wake() that lands while the fiber still runs turns
+// Running into RunningWoken, and the worker re-queues instead of parking.
+// A wake() on a Ready fiber is a no-op: the fiber rechecks its mailbox
+// when it runs, and the mailbox retry loop absorbs spurious resumes.
+// Deadlock detection is one atomic `runnable` count (ready + running): a
+// park or finish that drops it to 0 while unfinished fibers remain is a
+// deadlock. With one worker the dispatch order is FIFO by wake order.
 //
 // Determinism note: the scheduler decides only *host* interleaving. All
 // simulated time/energy outputs derive from per-rank virtual clocks and
@@ -83,7 +92,7 @@ class FiberScheduler {
   void run();
 
   /// True if run() hit the all-parked condition and fired on_deadlock.
-  bool deadlocked() const { return deadlock_; }
+  bool deadlocked() const;
 
   /// Worker threads run() will use.
   std::size_t worker_count() const { return workers_; }
@@ -98,8 +107,16 @@ class FiberScheduler {
   struct RankFiber;  // opaque in the header; defined in scheduler.cpp
 
  private:
-  void worker_loop();
+  struct PoolState;
+
+  void worker_loop(std::size_t lane);
+  bool find_work(std::size_t lane, std::size_t& index);
+  bool wait_for_work(std::size_t lane, std::size_t& index);
   void dispatch(RankFiber& fiber, void* worker_tsan);
+  void switched_out(RankFiber& fiber, std::size_t lane);
+  void push_ready(std::size_t lane, std::size_t index);
+  void leave_runnable();
+  void stop_workers();
 
   std::vector<RankFiber> fibers_;
   std::size_t workers_ = 1;
@@ -108,11 +125,9 @@ class FiberScheduler {
   bool guard_stacks_ = true;
   std::function<void()> on_deadlock_;
 
-  // Ready-queue state; every field below is guarded by the queue mutex in
-  // scheduler.cpp (kept out of the header with the fiber internals).
-  struct QueueState;
-  QueueState* queue_ = nullptr;
-  bool deadlock_ = false;
+  // Lanes, counters and the sleep eventcount (kept out of the header with
+  // the fiber internals).
+  PoolState* pool_ = nullptr;
 };
 
 }  // namespace plin::xmpi

@@ -31,8 +31,8 @@ namespace plin::xmpi {
 
 class StackPool {
  public:
-  /// One leased stack: `sp` is the lowest usable byte (ucontext ss_sp),
-  /// `bytes` the usable size.
+  /// One leased stack: `sp` is the lowest usable byte (the stack grows
+  /// down from `sp + bytes`), `bytes` the usable size.
   struct Allocation {
     unsigned char* sp = nullptr;
     std::size_t bytes = 0;

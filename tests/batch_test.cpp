@@ -124,6 +124,33 @@ TEST(ManifestTest, RejectsBadValuesAndEmptyGrids) {
   EXPECT_THROW(parse_manifest("reps 0\n"), InvalidArgument);
 }
 
+/// The InvalidArgument text parse_manifest throws for `text`.
+std::string manifest_error(const std::string& text) {
+  try {
+    parse_manifest(text);
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "manifest parsed: " << text;
+  return {};
+}
+
+TEST(ManifestTest, EmptyOrOversizedGridNamesWhy) {
+  // An empty grid names, per algorithm, the axis value it does not accept.
+  EXPECT_EQ(manifest_error("grid algorithm ime scalapack\niterations 50\n"),
+            "manifest: the grid expands to no job: ime does not accept "
+            "iterations 50, scalapack does not accept iterations 50");
+  EXPECT_EQ(manifest_error("grid algorithm ime\ngrid precision mixed\n"),
+            "manifest: the grid expands to no job: ime does not accept "
+            "precision mixed");
+  EXPECT_EQ(manifest_error("grid n 1 2 3 4 5 6 7 8 9 10\n"
+                           "grid seed 1 2 3 4 5 6 7 8 9 10\n"
+                           "grid nb 1 2 3 4 5 6 7 8 9 10\n"
+                           "grid ranks 1 2 3 4 5 6 7 8 9 10\n"
+                           "grid reps 1 2 3 4 5 6 7 8 9 10 11\n"),
+            "manifest: the grid expands to more than 100000 jobs");
+}
+
 TEST(ManifestTest, RejectsPowerCapsOnReplayTier) {
   EXPECT_THROW(
       parse_manifest("tier replay\nmachine marconi\ngrid power_cap_w 150\n"),

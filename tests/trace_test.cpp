@@ -1,6 +1,11 @@
 // Tests for the energy ledger: power integration, clipping, DRAM traffic
-// attribution, power caps and the idle-socket leakage artifact.
+// attribution, power caps, the idle-socket leakage artifact, and
+// concurrent per-lane appends.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "support/error.hpp"
 
@@ -115,6 +120,72 @@ TEST(EnergyLedger, InvalidArgumentsAreRejected) {
   EXPECT_THROW(ledger.package_energy_j(0, -1.0), Error);
   EXPECT_THROW(ledger.record(5, ActivitySegment{}), Error);
   EXPECT_THROW(ledger.set_package_cap(0, -5.0), Error);
+}
+
+TEST(EnergyLedger, LaneOutsideThePackageCoresIsRejected) {
+  EnergyLedger ledger(model(), {2, 3}, {2, 3});
+  const ActivitySegment seg{0.0, 1.0, hw::ActivityKind::kCompute, 0};
+  EXPECT_THROW(ledger.record(0, seg, 2), InvalidArgument);
+  EXPECT_THROW(ledger.record(0, seg, -1), InvalidArgument);
+  EXPECT_THROW(ledger.record(1, seg, 3), InvalidArgument);
+  EXPECT_NO_THROW(ledger.record(1, seg, 2));
+}
+
+/// The i-th segment lane `lane` appends: uneven lengths, kinds and
+/// traffic, so a different summation order would change the low bits.
+ActivitySegment lane_segment(int lane, int i) {
+  const double t0 = 1.0e-4 * i + 1.0e-7 * lane;
+  const double length = 1.0e-5 * (1 + (i * 7 + lane * 3) % 11) / 3.0;
+  const auto kind = static_cast<hw::ActivityKind>((i + lane) % 4);
+  return ActivitySegment{t0, t0 + length, kind, 97.0 * ((i * lane) % 13)};
+}
+
+TEST(EnergyLedger, ConcurrentLaneAppendsSumLikeASerialRecording) {
+  constexpr int kLanes = 8;
+  constexpr int kSegments = 4000;
+  constexpr double kEnd = 1.0e-4 * kSegments;
+  EnergyLedger concurrent(model(), {kLanes, kLanes}, {kLanes, 0});
+  EnergyLedger serial(model(), {kLanes, kLanes}, {kLanes, 0});
+
+  // Serial recording, lanes in reverse order: lane order, not append
+  // order across lanes, fixes the result.
+  for (int lane = kLanes - 1; lane >= 0; --lane) {
+    for (int i = 0; i < kSegments; ++i) {
+      serial.record(0, lane_segment(lane, i), lane);
+    }
+  }
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    double last = 0.0;
+    while (!done.load()) {
+      const double now = concurrent.package_energy_j(0, kEnd);
+      EXPECT_GE(now, last);
+      last = now;
+      (void)concurrent.dram_energy_j(1, kEnd);
+      (void)concurrent.package_cap(0);
+    }
+  });
+  std::vector<std::thread> appenders;
+  for (int lane = 0; lane < kLanes; ++lane) {
+    appenders.emplace_back([&, lane] {
+      for (int i = 0; i < kSegments; ++i) {
+        concurrent.record(0, lane_segment(lane, i), lane);
+      }
+    });
+  }
+  for (std::thread& appender : appenders) appender.join();
+  done.store(true);
+  reader.join();
+
+  for (int p = 0; p < 2; ++p) {
+    EXPECT_EQ(concurrent.package_energy_j(p, kEnd),
+              serial.package_energy_j(p, kEnd));
+    EXPECT_EQ(concurrent.dram_energy_j(p, kEnd), serial.dram_energy_j(p, kEnd));
+  }
+  EXPECT_EQ(concurrent.package_energy_j(0, kEnd / 3),
+            serial.package_energy_j(0, kEnd / 3));
+  EXPECT_GT(concurrent.package_dynamic_j(0, kEnd), 0.0);
 }
 
 TEST(PowerModelTest, CapEffectFollowsCubeRootLaw) {

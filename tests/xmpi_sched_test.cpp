@@ -1,7 +1,8 @@
 // Tests for the worker-pool scheduler: bit-identical results across worker
-// counts (up to one worker per rank), abort propagation into parked ranks,
-// deadlock detection, the 1-rank inline fast path, the worker-count knob
-// and the channel-indexed mailbox.
+// counts (up to one worker per rank), wake-versus-park races, abort
+// propagation into parked ranks, deadlock detection (and no false one),
+// the 1-worker FIFO dispatch order, the 1-rank inline fast path, the
+// worker-count knob and the channel-indexed mailbox.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -271,12 +273,21 @@ void expect_deadlock(const RunConfig& config,
 }
 
 TEST(XmpiScheduler, DeadlockIsDetectedAndDiagnosed) {
-  RunConfig config = mini_config(4);
-  config.workers = 2;
-  // Everyone receives, nobody sends: a guaranteed communication deadlock.
-  expect_deadlock(config, [](Comm& comm) {
-    (void)comm.recv_value<int>((comm.rank() + 1) % comm.size(), /*tag=*/1);
-  });
+  for (const std::size_t workers : {1, 2, 4, 16}) {
+    SCOPED_TRACE(workers);
+    RunConfig config = mini_config(16);
+    config.workers = workers;
+    // Everyone receives, nobody sends: a guaranteed communication deadlock.
+    expect_deadlock(config, [](Comm& comm) {
+      (void)comm.recv_value<int>((comm.rank() + 1) % comm.size(), /*tag=*/1);
+    });
+    // Half the ranks finish first: the last finish, not a park, is what
+    // leaves the pool with nothing runnable.
+    expect_deadlock(config, [](Comm& comm) {
+      if (comm.rank() % 2 == 0) return;
+      (void)comm.recv_value<int>(comm.rank() - 1, /*tag=*/2);
+    });
+  }
 }
 
 TEST(XmpiScheduler, SingleRankDeadlockIsDetectedAndDiagnosed) {
@@ -301,6 +312,108 @@ TEST(XmpiScheduler, ManyMoreRanksThanWorkersComplete) {
   });
   EXPECT_EQ(result.rank_times.size(), 96u);
   EXPECT_EQ(result.host_workers, 2u);
+}
+
+/// Every rank exchanges with both ring neighbours and a far peer, then
+/// joins an allreduce, several rounds over: wakes land on ranks that are
+/// running, mid-switch-out, parked and queued, from every worker.
+void wake_park_storm(Comm& comm) {
+  const int size = comm.size();
+  const int rank = comm.rank();
+  double acc = rank;
+  for (int round = 0; round < 3; ++round) {
+    const int step = 1 + round * 7 % (size - 1);
+    const int to = (rank + step) % size;
+    const int from = (rank + size - step) % size;
+    comm.compute(ComputeCost{1.0e4 * (1 + (rank + round) % 5), 0.0});
+    Request send = comm.isend(std::span<const double>(&acc, 1), to, round);
+    double got = 0.0;
+    comm.recv(std::span<double>(&got, 1), from, round);
+    send.wait();
+    acc = 0.5 * acc + got;
+    acc = comm.allreduce_value(acc, ReduceOp::kSum) / size;
+  }
+  EXPECT_GT(acc, 0.0);
+}
+
+TEST(XmpiScheduler, WakeParkRaceStressIsBitIdenticalAtEveryWorkerCount) {
+  for (const int ranks : {64, 576}) {
+    RunConfig config = mini_config(ranks, hw::LoadLayout::kFullLoad,
+                                   /*cores_per_socket=*/8);
+    config.workers = 1;
+    const RunResult reference = Runtime::run(config, wake_park_storm);
+    for (const std::size_t workers : {2, 4, 16}) {
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        SCOPED_TRACE(testing::Message() << ranks << " ranks, " << workers
+                                        << " workers, repeat " << repeat);
+        config.workers = workers;
+        const RunResult result = Runtime::run(config, wake_park_storm);
+        EXPECT_EQ(result.host_workers, workers);
+        expect_identical(reference, result);
+      }
+    }
+  }
+}
+
+TEST(XmpiScheduler, RankBusyOnTheHostIsNoDeadlock) {
+  // Rank 0 spends host time while every other rank is parked waiting for
+  // it: the pool has one running fiber and nothing ready, which must not
+  // read as a deadlock.
+  RunConfig config = mini_config(16);
+  config.workers = 4;
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    SCOPED_TRACE(repeat);
+    const RunResult result = Runtime::run(config, [](Comm& comm) {
+      if (comm.rank() == 0) {
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(200);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        for (int peer = 1; peer < comm.size(); ++peer) {
+          comm.send_value(peer, peer, /*tag=*/5);
+        }
+      } else {
+        EXPECT_EQ(comm.recv_value<int>(0, /*tag=*/5), comm.rank());
+      }
+    });
+    EXPECT_EQ(result.rank_times.size(), 16u);
+  }
+}
+
+TEST(XmpiScheduler, OneWorkerDispatchesInWakeOrder) {
+  // Ranks start in index order. Rank 0 parks on the last rank, which wakes
+  // it and parks in turn; rank 0 then wakes the others in reverse order,
+  // the last rank after them. One worker must resume them exactly in that
+  // wake order.
+  constexpr int kRanks = 8;
+  RunConfig config = mini_config(kRanks);
+  config.workers = 1;
+  std::mutex mutex;
+  std::vector<int> order;
+  const auto note = [&](int event) {
+    std::lock_guard<std::mutex> lock(mutex);
+    order.push_back(event);
+  };
+  Runtime::run(config, [&](Comm& comm) {
+    const int rank = comm.rank();
+    const int last = comm.size() - 1;
+    note(rank);
+    if (rank == 0) {
+      (void)comm.recv_value<int>(last, /*tag=*/1);
+      note(100);
+      for (int peer = last - 1; peer >= 1; --peer) {
+        comm.send_value(peer, peer, /*tag=*/2);
+      }
+      comm.send_value(last, last, /*tag=*/2);
+      return;
+    }
+    if (rank == last) comm.send_value(rank, 0, /*tag=*/1);
+    EXPECT_EQ(comm.recv_value<int>(0, /*tag=*/2), rank);
+    note(100 + rank);
+  });
+  const std::vector<int> expected = {0,   1,   2,   3,   4,   5,   6,  7,
+                                     100, 106, 105, 104, 103, 102, 101, 107};
+  EXPECT_EQ(order, expected);
 }
 
 // -- channel-indexed mailbox unit tests ------------------------------------
