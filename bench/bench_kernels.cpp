@@ -5,11 +5,15 @@
 // reference and the cache-blocked packed engine — at BOTH precisions (fp64
 // and the fp32 tier the mixed GEPP factorization runs on), cross-checks
 // their results, prints a GFLOP/s table and writes `BENCH_kernels.json`
-// (bench/harness.hpp schema) so kernel performance has a trajectory.
+// (bench/harness.hpp schema) so kernel performance has a trajectory. The
+// `ime_update` records time IMeP's column update at the n = 1536, 16-rank
+// shape: the per-level daxpy sweep against the deferred daxpy_chain, in
+// GFLOP/s and as a fraction of a measured one-core FMA peak.
 //
 // Flags (bench/harness.hpp): --smoke for tiny sizes; --check exits nonzero
 // unless blocked >= naive GFLOP/s on the largest square GEMM shape. A
-// naive/blocked divergence fails the run with or without --check.
+// naive/blocked divergence, or any difference between the per-level and
+// the deferred IMe update, fails the run with or without --check.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -180,6 +184,128 @@ TrsmResult measure_trsm_lower(std::size_t n, std::size_t m) {
   return result;
 }
 
+// The widest native lane, as the kernel library's micro-kernels see it.
+#if defined(__AVX512F__)
+typedef double Lane __attribute__((vector_size(64), aligned(8)));
+#elif defined(__AVX__)
+typedef double Lane __attribute__((vector_size(32), aligned(8)));
+#else
+typedef double Lane __attribute__((vector_size(16), aligned(8)));
+#endif
+constexpr std::size_t kLaneDoubles = sizeof(Lane) / sizeof(double);
+
+/// One-core FMA peak in GFLOP/s: independent multiply-add chains on the
+/// widest vector lanes, best of three.
+double fma_peak_gflops(bool smoke) {
+  constexpr int kChains = 16;  // > FMA latency x ports on current cores
+  const long iters = smoke ? 1L << 20 : 1L << 24;
+  volatile double seed_a = 0.999999999;
+  volatile double seed_b = 1e-9;
+  Lane a;
+  Lane b;
+  for (std::size_t l = 0; l < kLaneDoubles; ++l) {
+    a[l] = seed_a;
+    b[l] = seed_b;
+  }
+  double best = 0.0;
+  for (int trial = 0; trial < 3; ++trial) {
+    Lane acc[kChains];
+    for (int j = 0; j < kChains; ++j) acc[j] = a + static_cast<double>(j);
+    const double seconds = bench::seconds([&] {
+      for (long it = 0; it < iters; ++it) {
+        for (int j = 0; j < kChains; ++j) acc[j] = acc[j] * a + b;
+      }
+    });
+    Lane sum = {};
+    for (int j = 0; j < kChains; ++j) sum += acc[j];
+    bench::keep(sum);
+    best = std::max(best, 2.0 * kChains * kLaneDoubles *
+                              static_cast<double>(iters) / seconds);
+  }
+  return best * 1e-9;
+}
+
+struct ImeUpdateResult {
+  std::size_t rows = 0;    // column length (n)
+  std::size_t cols = 0;    // local columns of one rank
+  std::size_t levels = 0;  // levels deferred into one flush
+  double gflops_sweep = 0.0;
+  double gflops_chain = 0.0;
+  double max_abs_diff = 0.0;
+  bool exact = false;  // bit-identical results
+};
+
+/// IMeP's column update over one block of deferred levels. The sweep runs
+/// the levels one after another, each a daxpy over every local column; the
+/// chain streams each column once per row tile for all of them, as
+/// solve_imep flushes its ring. Both must agree bit for bit.
+ImeUpdateResult measure_ime_update(std::size_t rows, std::size_t cols,
+                                   std::size_t levels) {
+  constexpr std::size_t kTileRows = 256;  // solve_imep's flush tile
+  const linalg::Matrix pivots = random_matrix<double>(levels, rows, 606);
+  const linalg::Matrix columns0 = random_matrix<double>(cols, rows, 707);
+  // Small factors keep the repeatedly updated columns bounded.
+  linalg::Matrix alphas = random_matrix<double>(cols, levels, 808);
+  for (double& v : alphas.flat()) v *= 1e-3;
+  std::vector<const double*> xs(levels);
+  for (std::size_t p = 0; p < levels; ++p) xs[p] = pivots.row(p).data();
+
+  const auto sweep = [&](linalg::Matrix& m) {
+    for (std::size_t p = 0; p < levels; ++p) {
+      for (std::size_t k = 0; k < cols; ++k) {
+        linalg::daxpy(alphas(k, p), pivots.row(p), m.row(k));
+      }
+    }
+  };
+  const auto chain = [&](linalg::Matrix& m) {
+    for (std::size_t r0 = 0; r0 < rows; r0 += kTileRows) {
+      const std::size_t r1 = std::min(rows, r0 + kTileRows);
+      for (std::size_t k = 0; k < cols; ++k) {
+        linalg::daxpy_chain(alphas.row(k), xs, m.row(k), r0, r1);
+      }
+    }
+  };
+
+  linalg::Matrix by_sweep = columns0;
+  linalg::Matrix by_chain = columns0;
+  sweep(by_sweep);
+  chain(by_chain);
+  double diff = 0.0;
+  for (std::size_t i = 0; i < by_sweep.flat().size(); ++i) {
+    diff = std::max(diff, std::fabs(by_sweep.flat()[i] - by_chain.flat()[i]));
+  }
+  const bool exact = std::memcmp(by_sweep.flat().data(), by_chain.flat().data(),
+                                 by_sweep.size_bytes()) == 0;
+
+  // One timed body runs several blocks, so a sample is well above timer
+  // resolution.
+  constexpr int kBlocks = 16;
+  const double flops = 2.0 * kBlocks * static_cast<double>(rows) *
+                       static_cast<double>(cols) * static_cast<double>(levels);
+  linalg::Matrix m = columns0;
+  const double t_sweep = bench::best_seconds(
+      [&] {
+        for (int b = 0; b < kBlocks; ++b) sweep(m);
+        bench::keep(m.flat().data());
+      },
+      kKernelReps);
+  const double t_chain = bench::best_seconds(
+      [&] {
+        for (int b = 0; b < kBlocks; ++b) chain(m);
+        bench::keep(m.flat().data());
+      },
+      kKernelReps);
+
+  ImeUpdateResult result;
+  result.rows = rows;
+  result.cols = cols;
+  result.levels = levels;
+  result.gflops_sweep = flops / t_sweep * 1e-9;
+  result.gflops_chain = flops / t_chain * 1e-9;
+  result.max_abs_diff = diff;
+  result.exact = exact;
+  return result;
+}
 
 }  // namespace
 
@@ -212,6 +338,11 @@ int main(int argc, char** argv) {
   trsm.push_back(measure_trsm_lower<double>(trsm_n, trsm_n));
   trsm.push_back(measure_trsm_lower<float>(trsm_n, trsm_n));
 
+  // IMe at n = 1536 on 16 ranks: one master and 15 slaves own 1536 / 16 =
+  // 96 columns each, and each flush covers 8 levels.
+  const ImeUpdateResult ime = measure_ime_update(1536, 96, 8);
+  const double peak_gflops = fma_peak_gflops(h.smoke());
+
   std::printf("%-23s %6s %6s %6s | %12s %12s %8s %12s\n", "kernel/shape", "m",
               "n", "k", "naive GF/s", "blocked GF/s", "speedup",
               "max|diff|");
@@ -236,7 +367,13 @@ int main(int argc, char** argv) {
                 r.gflops_blocked, r.gflops_blocked / r.gflops_naive,
                 r.max_abs_diff);
   }
-  std::printf("\n");
+  std::printf("%-18s %4s %6zu %6zu %6zu | %12.3f %12.3f %7.2fx %12.3g\n",
+              "ime_update", "fp64", ime.rows, ime.cols, ime.levels,
+              ime.gflops_sweep, ime.gflops_chain,
+              ime.gflops_chain / ime.gflops_sweep, ime.max_abs_diff);
+  std::printf("(ime_update: per-level daxpy sweep vs deferred daxpy_chain; "
+              "FMA peak %.2f GF/s)\n\n",
+              peak_gflops);
 
   const linalg::KernelConfig& cfg = linalg::active_kernel_config();
   for (const auto& [key, value] :
@@ -265,10 +402,26 @@ int main(int argc, char** argv) {
     record_row("trsm.square." + std::to_string(r.n) + "." + r.precision,
                r.gflops_naive, r.gflops_blocked, r.max_abs_diff);
   }
+  h.record("fma_peak_gflops", peak_gflops, "GFLOP/s", bench::Clock::kHost);
+  h.record("ime_update.gflops_sweep", ime.gflops_sweep, "GFLOP/s",
+           bench::Clock::kHost);
+  h.record("ime_update.gflops_chain", ime.gflops_chain, "GFLOP/s",
+           bench::Clock::kHost);
+  h.record("ime_update.sweep_peak_frac", ime.gflops_sweep / peak_gflops,
+           "ratio", bench::Clock::kHost);
+  h.record("ime_update.chain_peak_frac", ime.gflops_chain / peak_gflops,
+           "ratio", bench::Clock::kHost);
+  h.record("ime_update.speedup", ime.gflops_chain / ime.gflops_sweep,
+           "ratio", bench::Clock::kHost);
+  h.record("ime_update.max_abs_diff", ime.max_abs_diff, "abs",
+           bench::Clock::kNone);
 
   h.gate("naive-blocked-agree", numerics_ok,
          "naive vs blocked max|diff| must stay within the per-shape "
          "budget");
+  h.gate("ime-update-exact", ime.exact,
+         "the deferred IMe update must equal the per-level sweep bit for "
+         "bit");
   char detail[128];
   std::snprintf(detail, sizeof(detail),
                 "blocked dgemm %.3f GF/s vs naive %.3f GF/s at %zu^3",
@@ -282,6 +435,12 @@ int main(int argc, char** argv) {
   // --check.
   if (!numerics_ok) {
     std::fprintf(stderr, "FAIL: naive/blocked results diverged\n");
+    return 1;
+  }
+  if (!ime.exact) {
+    std::fprintf(stderr,
+                 "FAIL: deferred IMe update differs from the per-level "
+                 "sweep\n");
     return 1;
   }
   return status;

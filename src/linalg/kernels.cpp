@@ -487,6 +487,52 @@ void dgemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
   gemm<double>(alpha, a, b, beta, c);
 }
 
+// ---- deferred level updates ------------------------------------------------
+
+// Bit-identical to successive daxpy calls only while every update keeps
+// daxpy's `y += a * x` form in this translation unit: under the same
+// contraction flags it is one fused multiply-add per element on FMA
+// targets and a multiply then an add elsewhere. The scalar tail runs p
+// outer, i inner, so the compiler cannot vectorize across p (a reduction
+// that it would split into an unfused multiply and add).
+void daxpy_chain(std::span<const double> alphas,
+                 std::span<const double* const> xs, std::span<double> y,
+                 std::size_t begin, std::size_t end) {
+  PLIN_CHECK_MSG(alphas.size() == xs.size(), "daxpy_chain size mismatch");
+  PLIN_CHECK_MSG(begin <= end && end <= y.size(), "daxpy_chain range");
+  constexpr std::size_t W = kVecLanes<double>;
+  const std::size_t m = alphas.size();
+  const double* PLIN_RESTRICT a = alphas.data();
+  double* PLIN_RESTRICT yp = y.data();
+  std::size_t i = begin;
+  // Two lanes of y stay in registers across the whole chain.
+  for (; i + 2 * W <= end; i += 2 * W) {
+    vd* PLIN_RESTRICT yv = reinterpret_cast<vd*>(yp + i);
+    vd y0 = yv[0];
+    vd y1 = yv[1];
+    for (std::size_t p = 0; p < m; ++p) {
+      const vd* PLIN_RESTRICT xv = reinterpret_cast<const vd*>(xs[p] + i);
+      y0 += a[p] * xv[0];
+      y1 += a[p] * xv[1];
+    }
+    yv[0] = y0;
+    yv[1] = y1;
+  }
+  if (i + W <= end) {
+    vd* PLIN_RESTRICT yv = reinterpret_cast<vd*>(yp + i);
+    vd y0 = yv[0];
+    for (std::size_t p = 0; p < m; ++p) {
+      y0 += a[p] * *reinterpret_cast<const vd*>(xs[p] + i);
+    }
+    yv[0] = y0;
+    i += W;
+  }
+  for (std::size_t p = 0; p < m; ++p) {
+    const double* PLIN_RESTRICT x = xs[p];
+    for (std::size_t k = i; k < end; ++k) yp[k] += a[p] * x[k];
+  }
+}
+
 // ---- triangular solves -----------------------------------------------------
 
 namespace {

@@ -111,6 +111,17 @@ T vector_inf_norm_of(std::span<const T> x);
 /// y += alpha * x.
 void daxpy(double alpha, std::span<const double> x, std::span<double> y);
 
+/// Deferred axpy chain: for each i in [begin, end), applies
+/// y[i] += alphas[p] * xs[p][i] for p = 0, 1, ... in order. Every element
+/// gets the same multiply-adds in the same order as alphas.size()
+/// successive daxpy calls over [begin, end), so the result is bit-identical
+/// to them; y is streamed once instead of once per call. Each xs[p] must be
+/// readable over [begin, end) and must not overlap y.
+/// Flops: 2 * alphas.size() * (end - begin).
+void daxpy_chain(std::span<const double> alphas,
+                 std::span<const double* const> xs, std::span<double> y,
+                 std::size_t begin, std::size_t end);
+
 /// x *= alpha.
 void dscal(double alpha, std::span<double> x);
 

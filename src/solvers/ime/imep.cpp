@@ -1,5 +1,6 @@
 #include "solvers/ime/imep.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -13,6 +14,17 @@ namespace plin::solvers {
 namespace {
 
 constexpr int kTagRowGather = 10;
+
+/// Most levels whose column updates a rank defers before it streams its
+/// columns once for all of them (docs/kernels.md, "Deferred level
+/// updates"). The block is clamped to the rank's column count, so the
+/// ring of pending pivot columns is never larger than the local matrix.
+constexpr std::size_t kMaxDeferredLevels = 8;
+
+/// Rows per tile when a block of deferred levels is flushed: the pending
+/// pivot columns' slice of a tile stays in cache while every local column
+/// streams through it.
+constexpr std::size_t kFlushRows = 256;
 
 xmpi::ComputeCost ime_cost(double flops) {
   const double charged = flops * kImeFlopScale;
@@ -111,8 +123,8 @@ ImepResult solve_imep(xmpi::Comm& comm, const ImepOptions& options) {
   // Local row k holds the working values M(*, j_k) of equation j_k, where
   // M = A^T — the distributed equivalent of every rank loading its share of
   // the same input file. Storing each owned table column as a contiguous
-  // row lets every level update stream it with unit stride through the
-  // engine's daxpy (same arithmetic order, so results are bit-identical).
+  // row lets the deferred level updates stream it with unit stride through
+  // the engine's daxpy_chain.
   linalg::Matrix local(std::max<std::size_t>(ncols, 1), n);
   for (std::size_t k = 0; k < ncols; ++k) {
     const std::size_t j = my_cols[k];
@@ -148,9 +160,8 @@ ImepResult solve_imep(xmpi::Comm& comm, const ImepOptions& options) {
 
   ImepResult result;
   result.retired_diagonals.assign(n, 0.0);
-  std::vector<double> c(n, 0.0);       // current pivot column
   std::vector<double> next_c(n, 0.0);  // pivot column sent early (pipelining)
-  std::vector<double> row_l(n, 0.0);   // master: assembled last row
+  std::vector<double> row_l(rank == 0 ? n : 0, 0.0);  // master: last row
   std::vector<std::byte> blob;
   std::vector<std::byte> incoming;
   bool next_pivot_sent = false;
@@ -165,8 +176,53 @@ ImepResult solve_imep(xmpi::Comm& comm, const ImepOptions& options) {
     }
   }
 
+  // ---- deferred level updates ----------------------------------------------
+  // Level l subtracts g_j * c_l from rows 0..l of every other local column.
+  // Row l is updated at once (the next gather reads it); rows 0..l-1 wait in
+  // a ring of up to `block` pending levels: slot s holds the pivot column
+  // (the level's broadcast lands there) and each column's factor -g_j of
+  // the s-th pending level. Column k owes slots [first_slot[k], pending) to
+  // its rows below the lowest pending level; every row at or above it is
+  // already current. Applying a column's slots in order gives each element
+  // the multiply-adds of the per-level sweep in the same order, so every
+  // result is bit-identical.
+  const std::size_t block =
+      std::clamp<std::size_t>(ncols, 1, kMaxDeferredLevels);
+  std::vector<double> ring(block * n, 0.0);
+  std::vector<const double*> ring_cols(block);
+  for (std::size_t s = 0; s < block; ++s) ring_cols[s] = ring.data() + s * n;
+  std::vector<double> alphas(ncols * block, 0.0);  // column k at k * block
+  std::vector<std::size_t> first_slot(ncols, 0);
+  std::size_t pending = 0;
+  // Applies column k's pending slots to its rows [begin, end).
+  const auto apply_pending = [&](std::size_t k, std::size_t begin,
+                                 std::size_t end) {
+    const std::size_t first = first_slot[k];
+    if (first == pending || begin == end) return;
+    linalg::daxpy_chain(
+        std::span<const double>(alphas.data() + k * block + first,
+                                pending - first),
+        std::span<const double* const>(ring_cols.data() + first,
+                                       pending - first),
+        local.row(k), begin, end);
+  };
+  // Brings every local column current below level `low` (the lowest
+  // pending level), tile by tile, and empties the ring.
+  const auto flush_all = [&](std::size_t low) {
+    for (std::size_t r0 = 0; r0 < low; r0 += kFlushRows) {
+      const std::size_t r1 = std::min(low, r0 + kFlushRows);
+      for (std::size_t k = 0; k < ncols; ++k) apply_pending(k, r0, r1);
+    }
+    pending = 0;
+    std::fill(first_slot.begin(), first_slot.end(), std::size_t{0});
+  };
+
   for (std::size_t l = n; l-- > 0;) {
     const int owner = map.owner_of_level(l);
+
+    // Row l of every local column is about to be gathered and scaled into
+    // the factors g_j: apply the levels it still owes.
+    for (std::size_t k = 0; k < ncols; ++k) apply_pending(k, l, l + 1);
 
     // ---- auxiliary vector broadcast (master's send side) -----------------
     // The master broadcasts h as updated through the previous level — its
@@ -208,20 +264,24 @@ ImepResult solve_imep(xmpi::Comm& comm, const ImepOptions& options) {
     // ---- pivot column broadcast t_{*,n+l} --------------------------------
     // Only rows 0..l are live (unknowns above l were already inhibited from
     // equation l, so the column is "certainly 0" below — the same structure
-    // the paper exploits for the last-row exchange).
+    // the paper exploits for the last-row exchange). It lands in this
+    // level's ring slot.
     const std::size_t live = l + 1;
+    const std::size_t slot = pending;
+    double* const c = ring.data() + slot * n;
     comm.prof_phase_begin("ime:pivot_bcast");
     if (rank == owner) {
       if (next_pivot_sent) {
-        c.swap(next_c);  // already updated and broadcast during level l+1
+        // Already updated and broadcast during level l+1.
+        std::copy(next_c.begin(), next_c.begin() + live, c);
       } else {
         const std::size_t k = map.local_index(l);
         const double* col = local.row(k).data();
-        std::copy(col, col + live, c.begin());
-        if (ranks > 1) comm.bcast(std::span<double>(c.data(), live), owner);
+        std::copy(col, col + live, c);
+        if (ranks > 1) comm.bcast(std::span<double>(c, live), owner);
       }
     } else if (ranks > 1) {
-      comm.bcast(std::span<double>(c.data(), live), owner);
+      comm.bcast(std::span<double>(c, live), owner);
     }
     comm.prof_phase_end();
     next_pivot_sent = false;
@@ -267,13 +327,18 @@ ImepResult solve_imep(xmpi::Comm& comm, const ImepOptions& options) {
 
     // ---- column updates ----------------------------------------------------
     // Fundamental formula on my columns: g_j = t_{l,j}/d_l, then subtract
-    // g_j * pivot column from rows 0..l (the column is zero below l). The
-    // column is a contiguous row of `local`, so this is one engine daxpy.
+    // g_j * pivot column from rows 0..l (the column is zero below l). Row l
+    // is updated here, through daxpy so that it rounds as the kernel library
+    // does (this file builds without FP contraction); rows 0..l-1 are
+    // deferred into this level's ring slot. The charges below are those of
+    // the full per-level update.
+    pending = slot + 1;
     const auto update_column = [&](std::size_t k) {
-      double* col = local.row(k).data();
+      std::span<double> col = local.row(k);
       const double g = col[l] * inv;
-      linalg::daxpy(-g, std::span<const double>(c.data(), l + 1),
-                    std::span<double>(col, l + 1));
+      linalg::daxpy(-g, std::span<const double>(c + l, 1),
+                    col.subspan(l, 1));
+      alphas[k * block + slot] = -g;
       return g;
     };
     const double per_column_flops = 1.0 + 2.0 * static_cast<double>(l + 1);
@@ -287,6 +352,10 @@ ImepResult solve_imep(xmpi::Comm& comm, const ImepOptions& options) {
     if (l > 0 && rank == map.owner_of(l - 1)) {
       early_k = map.local_index(l - 1);
       factor_sum += update_column(early_k);
+      // The next pivot column leaves current: flush all it owes. With
+      // nothing pending it skips its own level l-1 and rejoins after it.
+      apply_pending(early_k, 0, l);
+      first_slot[early_k] = pending;
       comm.compute(ime_cost(per_column_flops));
       const double* col = local.row(early_k).data();
       std::copy(col, col + l, next_c.begin());
@@ -299,7 +368,14 @@ ImepResult solve_imep(xmpi::Comm& comm, const ImepOptions& options) {
 
     std::size_t updated = 0;
     for (std::size_t k = 0; k < ncols; ++k) {
-      if (my_cols[k] == l || k == early_k) continue;
+      if (k == early_k) continue;
+      if (my_cols[k] == l) {
+        // The pivot column skips its own level; it owes nothing (flushed
+        // for its early broadcast, or this is the first level).
+        PLIN_CHECK(first_slot[k] == slot);
+        first_slot[k] = pending;
+        continue;
+      }
       factor_sum += update_column(k);
       ++updated;
     }
@@ -331,9 +407,13 @@ ImepResult solve_imep(xmpi::Comm& comm, const ImepOptions& options) {
       comm.prof_phase_end();
     }
 
+    if (pending == block) flush_all(l);
+
     // ---- fault injection / checksum recovery (test hook) -------------------
     for (const ImeFault& fault : options.inject_faults) {
       if (fault.level != l || fault.rank != rank || ncols == 0) continue;
+      // The recovery reads every row of the local matrix.
+      flush_all(l);
       comm.prof_phase_begin("ime:recovery");
       // Corrupt the first local column...
       for (std::size_t i = 0; i < n; ++i) local(0, i) = 1e30;

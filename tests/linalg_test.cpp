@@ -3,7 +3,9 @@
 // deterministic generation and file I/O.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <limits>
 
@@ -57,6 +59,49 @@ TEST(KernelsTest, Level1Basics) {
   dswap(a, b);
   EXPECT_DOUBLE_EQ(a[0], 3.0);
   EXPECT_DOUBLE_EQ(b[1], 2.0);
+}
+
+TEST(KernelsTest, DaxpyChainIsBitIdenticalToSuccessiveDaxpys) {
+  // Contraction guard: IMeP's deferred level updates stay bit-identical
+  // only if the chain rounds every element exactly like daxpy does (one
+  // fused multiply-add, or one multiply and one add, per step). Random
+  // chain lengths, vector lengths and start offsets reach the two-lane
+  // body, the one-lane step and the scalar tail at every alignment.
+  Rng rng(97);
+  int compared = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t m = 1 + rng.next_below(16);
+    const std::size_t len = rng.next_below(101);
+    const std::size_t begin = rng.next_below(8);
+    const std::size_t end = begin + len;
+    const std::size_t size = end + rng.next_below(4);
+    std::vector<std::vector<double>> x(m, std::vector<double>(size));
+    std::vector<const double*> xs(m);
+    std::vector<double> alphas(m);
+    for (std::size_t p = 0; p < m; ++p) {
+      for (double& v : x[p]) v = rng.uniform(-1.0, 1.0);
+      xs[p] = x[p].data();
+      alphas[p] = rng.uniform(-2.0, 2.0);
+    }
+    std::vector<double> expected(size);
+    for (double& v : expected) v = rng.uniform(-1.0, 1.0);
+    std::vector<double> got = expected;
+
+    for (std::size_t p = 0; p < m; ++p) {
+      daxpy(alphas[p],
+            std::span<const double>(x[p]).subspan(begin, len),
+            std::span<double>(expected).subspan(begin, len));
+    }
+    daxpy_chain(alphas, xs, got, begin, end);
+    for (std::size_t i = 0; i < size; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(expected[i]))
+          << "trial " << trial << " m=" << m << " begin=" << begin
+          << " end=" << end << " i=" << i;
+    }
+    compared += static_cast<int>(len);
+  }
+  EXPECT_GT(compared, 0);
 }
 
 TEST(KernelsTest, IdamaxIgnoresNaNs) {

@@ -384,6 +384,86 @@ INSTANTIATE_TEST_SUITE_P(
                       ParallelCase{17, 3}, ParallelCase{7, 8},
                       ParallelCase{100, 9}));
 
+struct ImepPin {
+  std::size_t n;
+  int ranks;
+  std::vector<ImeFault> faults;  // non-empty: run with checksum_ft
+  const char* expected;
+};
+
+TEST(ImepPinned, RunsAreBitExactAtOneAndFourWorkers) {
+  // Pins IMeP's numerics (solution and retired diagonals) and its whole
+  // simulated cost (virtual time, energy, data-message count). The host
+  // side may reorder when it applies each level's column update, but every
+  // element must see the same multiply-adds in the same order, and no
+  // compute or memory charge may move. The cases cover n that is not a
+  // multiple of the deferred-update block, a single rank, ranks with fewer
+  // columns than the block, and checksum recovery from two faults.
+  const std::uint64_t seed = 41;
+  const ImepPin pins[] = {
+      {100, 9, {},
+       "x=acc832c066580ebd diag=74dcf94584a3d9be t=0x1.7378d3a1c0a84p-11 "
+       "e=0x1.49052cf417615p-3 msgs=2416"},
+      {96, 4, {},
+       "x=3109b4c8345dfd8e diag=d4071fad6de48787 t=0x1.6384354b908cbp-13 "
+       "e=0x1.415a7db80b305p-6 msgs=870"},
+      {57, 1, {},
+       "x=480c8aee03418fa0 diag=e435fe66865894b5 t=0x1.3ade2ea51c91p-17 "
+       "e=0x1.0cbe976aaf73ep-10 msgs=0"},
+      {24, 8, {},
+       "x=57c526b9a573007f diag=3d492835293e1b2f t=0x1.6a1eebe0bccf1p-14 "
+       "e=0x1.544299a254067p-7 msgs=518"},
+      {40, 16, {},
+       "x=8416a5a96d7c5523 diag=90f821ddc1efaa59 t=0x1.c6b171e0851eep-12 "
+       "e=0x1.ab9c753d22cbp-4 msgs=1830"},
+      {300, 2, {},
+       "x=9ad8e1ed3b8dbf71 diag=371a5cd5d09b66ef t=0x1.5f043abda9704p-10 "
+       "e=0x1.31f05bfd49aeep-3 msgs=902"},
+      {17, 3, {},
+       "x=234a6bfa90983b5d diag=429c58f8de0cc417 t=0x1.2e3e1b7aae9c2p-16 "
+       "e=0x1.062925f0e6acfp-9 msgs=106"},
+      {64, 4, {{50, 1}, {21, 2}},
+       "x=a9e6871ac38c4954 diag=77fa4211eb8cd654 t=0x1.1533b271821aap-13 "
+       "e=0x1.f0c1878836bfap-7 msgs=582"},
+  };
+  for (const ImepPin& pin : pins) {
+    for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::to_string(pin.n) + "/" + std::to_string(pin.ranks) +
+                   " workers=" + std::to_string(workers));
+      xmpi::RunConfig config = mini_config(pin.ranks);
+      config.workers = workers;
+      std::vector<double> x;
+      std::vector<double> diagonals;
+      std::atomic<int> recoveries{0};
+      const xmpi::RunResult run =
+          xmpi::Runtime::run(config, [&](xmpi::Comm& comm) {
+            ImepOptions options;
+            options.n = pin.n;
+            options.seed = seed;
+            options.checksum_ft = !pin.faults.empty();
+            options.inject_faults = pin.faults;
+            ImepResult result = solve_imep(comm, options);
+            recoveries.fetch_add(result.ft_recoveries);
+            if (comm.rank() == 0) {
+              x = std::move(result.x);
+              diagonals = std::move(result.retired_diagonals);
+            }
+          });
+      EXPECT_EQ(recoveries.load(), static_cast<int>(pin.faults.size()));
+      char buf[192];
+      std::snprintf(buf, sizeof buf,
+                    "x=%016llx diag=%016llx t=%a e=%a msgs=%llu",
+                    static_cast<unsigned long long>(fnv1a(kFnvBasis, x)),
+                    static_cast<unsigned long long>(
+                        fnv1a(kFnvBasis, diagonals)),
+                    run.duration_s, run.energy.total_j(),
+                    static_cast<unsigned long long>(
+                        run.traffic.data_messages));
+      EXPECT_EQ(std::string(buf), pin.expected);
+    }
+  }
+}
+
 TEST(ImepTraffic, VolumeTracksPaperClosedForm) {
   // V_IMeP = (N+2) n^2 + 2(N-1) n floats. Our tree broadcasts transmit
   // (N-1)-sized copies per level for both the pivot column and h, so the
