@@ -8,12 +8,15 @@
 // (bench/harness.hpp schema) so kernel performance has a trajectory. The
 // `ime_update` records time IMeP's column update at the n = 1536, 16-rank
 // shape: the per-level daxpy sweep against the deferred daxpy_chain, in
-// GFLOP/s and as a fraction of a measured one-core FMA peak.
+// GFLOP/s and as a fraction of a measured one-core FMA peak. The `generate`
+// records time the n = 1536 system generator: one system_entry call per
+// element against the row generator system_row, in ns per entry.
 //
 // Flags (bench/harness.hpp): --smoke for tiny sizes; --check exits nonzero
 // unless blocked >= naive GFLOP/s on the largest square GEMM shape. A
-// naive/blocked divergence, or any difference between the per-level and
-// the deferred IMe update, fails the run with or without --check.
+// naive/blocked divergence, a difference between the per-level and the
+// deferred IMe update, or a bit where system_row and system_entry differ
+// fails the run with or without --check.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -24,6 +27,7 @@
 
 #include "harness.hpp"
 
+#include "linalg/generate.hpp"
 #include "linalg/kernel_config.hpp"
 #include "linalg/kernels.hpp"
 #include "support/rng.hpp"
@@ -307,6 +311,45 @@ ImeUpdateResult measure_ime_update(std::size_t rows, std::size_t cols,
   return result;
 }
 
+struct GenerateResult {
+  std::size_t n = 0;
+  double entry_ns = 0.0;  // per element, one system_entry call each
+  double row_ns = 0.0;    // per element, one system_row call per row
+  bool exact = false;     // bit-identical matrices
+};
+
+/// The n x n generated system filled element by element through
+/// system_entry and row by row through system_row. Both must agree bit for
+/// bit.
+GenerateResult measure_generate(std::size_t n) {
+  constexpr std::uint64_t kSeed = 1;
+  linalg::Matrix by_entry(n, n);
+  linalg::Matrix by_row(n, n);
+  const auto fill_entries = [&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        by_entry(i, j) = linalg::system_entry(kSeed, n, i, j);
+      }
+    }
+    bench::keep(by_entry.flat().data());
+  };
+  const auto fill_rows = [&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      linalg::system_row(kSeed, n, i, 0, by_row.row(i));
+    }
+    bench::keep(by_row.flat().data());
+  };
+  const double entries = static_cast<double>(n) * static_cast<double>(n);
+  GenerateResult result;
+  result.n = n;
+  result.entry_ns = bench::best_seconds(fill_entries, kKernelReps) / entries *
+                    1e9;
+  result.row_ns = bench::best_seconds(fill_rows, kKernelReps) / entries * 1e9;
+  result.exact = std::memcmp(by_entry.flat().data(), by_row.flat().data(),
+                             by_entry.size_bytes()) == 0;
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -342,6 +385,9 @@ int main(int argc, char** argv) {
   // 96 columns each, and each flush covers 8 levels.
   const ImeUpdateResult ime = measure_ime_update(1536, 96, 8);
   const double peak_gflops = fma_peak_gflops(h.smoke());
+  // The dense solvers' and the reference residual's generator at e2e's
+  // largest dense size.
+  const GenerateResult gen = measure_generate(1536);
 
   std::printf("%-23s %6s %6s %6s | %12s %12s %8s %12s\n", "kernel/shape", "m",
               "n", "k", "naive GF/s", "blocked GF/s", "speedup",
@@ -372,8 +418,12 @@ int main(int argc, char** argv) {
               ime.gflops_sweep, ime.gflops_chain,
               ime.gflops_chain / ime.gflops_sweep, ime.max_abs_diff);
   std::printf("(ime_update: per-level daxpy sweep vs deferred daxpy_chain; "
-              "FMA peak %.2f GF/s)\n\n",
+              "FMA peak %.2f GF/s)\n",
               peak_gflops);
+  std::printf("generate n=%zu: system_entry %.2f ns/entry, system_row %.2f "
+              "ns/entry, %s\n\n",
+              gen.n, gen.entry_ns, gen.row_ns,
+              gen.exact ? "bit-identical" : "DIFFERENT");
 
   const linalg::KernelConfig& cfg = linalg::active_kernel_config();
   for (const auto& [key, value] :
@@ -415,6 +465,10 @@ int main(int argc, char** argv) {
            "ratio", bench::Clock::kHost);
   h.record("ime_update.max_abs_diff", ime.max_abs_diff, "abs",
            bench::Clock::kNone);
+  h.record("generate.system_entry_ns_per_entry", gen.entry_ns, "ns",
+           bench::Clock::kHost);
+  h.record("generate.system_row_ns_per_entry", gen.row_ns, "ns",
+           bench::Clock::kHost);
 
   h.gate("naive-blocked-agree", numerics_ok,
          "naive vs blocked max|diff| must stay within the per-shape "
@@ -422,6 +476,8 @@ int main(int argc, char** argv) {
   h.gate("ime-update-exact", ime.exact,
          "the deferred IMe update must equal the per-level sweep bit for "
          "bit");
+  h.gate("generate-exact", gen.exact,
+         "system_row must equal system_entry bit for bit");
   char detail[128];
   std::snprintf(detail, sizeof(detail),
                 "blocked dgemm %.3f GF/s vs naive %.3f GF/s at %zu^3",
@@ -441,6 +497,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: deferred IMe update differs from the per-level "
                  "sweep\n");
+    return 1;
+  }
+  if (!gen.exact) {
+    std::fprintf(stderr, "FAIL: system_row differs from system_entry\n");
     return 1;
   }
   return status;

@@ -755,26 +755,6 @@ double vector_inf_norm(std::span<const double> x) {
   return vector_inf_norm_of<double>(x);
 }
 
-double residual_inf_norm(ConstMatrixView a, std::span<const double> x,
-                         std::span<const double> b) {
-  PLIN_CHECK_MSG(a.cols() == x.size() && a.rows() == b.size(),
-                 "residual shape mismatch");
-  double norm = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double dot = ddot(a.row(i), x);
-    norm = std::max(norm, std::fabs(dot - b[i]));
-  }
-  return norm;
-}
-
-double scaled_residual(ConstMatrixView a, std::span<const double> x,
-                       std::span<const double> b) {
-  const double num = residual_inf_norm(a, x, b);
-  const double denom = matrix_inf_norm(a) * vector_inf_norm(x) *
-                       static_cast<double>(a.rows());
-  return denom == 0.0 ? num : num / denom;
-}
-
 // ---- explicit instantiations -----------------------------------------------
 // The engine compiles exactly twice: once per supported scalar. Callers use
 // the generic names with an explicit type (`gemm<float>(...)`); the double

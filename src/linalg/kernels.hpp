@@ -192,7 +192,9 @@ double matrix_inf_norm(ConstMatrixView a);
 /// Infinity norm of a vector.
 double vector_inf_norm(std::span<const double> x);
 
-/// Componentwise residual ||A*x - b||_inf.
+/// Componentwise residual ||A*x - b||_inf. Each row's product is rounded
+/// term by term and summed in index order, without fused multiply-adds, so
+/// its bits are the same in every build (src/linalg/residual.cpp).
 double residual_inf_norm(ConstMatrixView a, std::span<const double> x,
                          std::span<const double> b);
 

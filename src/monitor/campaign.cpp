@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "linalg/generate.hpp"
-#include "linalg/kernels.hpp"
 #include "papisim/papi.hpp"
 #include "solvers/cg/cg.hpp"
 #include "solvers/gepp/mixed.hpp"
@@ -85,13 +84,9 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
   config.machine = machine;
   config.placement = hw::make_placement(spec.ranks, spec.layout, machine);
 
-  // Reference data for the residual check (numeric-tier sizes only): the
-  // dense generated system for the dense solvers. CG streams its sparse
-  // family through generated_residual instead of materializing it.
+  // Reference right-hand side for the residual check. The system itself is
+  // never materialized: both families stream it through generated_residual.
   const bool cg = spec.algorithm == perfsim::Algorithm::kCg;
-  const linalg::Matrix a =
-      cg ? linalg::Matrix(1, 1)
-         : linalg::generate_system_matrix(spec.seed, spec.n);
   const std::vector<double> b = linalg::generate_rhs(spec.seed, spec.n);
 
   JobResult result;
@@ -163,7 +158,8 @@ JobResult run_job(const hw::MachineSpec& machine, const JobSpec& spec,
         rr.measurement = measurement;
         rr.residual = cg ? sparse::generated_residual(spec.matrix, spec.seed,
                                                       spec.n, x, b)
-                         : linalg::scaled_residual(a.view(), x, b);
+                         : linalg::generated_residual(spec.seed, spec.n, x,
+                                                      b);
       }
     });
     rr.data_messages = run.traffic.data_messages;

@@ -47,7 +47,7 @@ RowChunk my_rows(const xmpi::Comm& comm, std::size_t n) {
 }
 
 /// r := b - A x in fp64, replicated on every rank. Each rank regenerates
-/// its row block of A entry by entry and the chunks are allgathered.
+/// its row block of A row by row and the chunks are allgathered.
 std::vector<double> residual(xmpi::Comm& comm, const GeppMixedOptions& options,
                              const std::vector<double>& x,
                              const std::vector<double>& b) {
@@ -55,11 +55,12 @@ std::vector<double> residual(xmpi::Comm& comm, const GeppMixedOptions& options,
   comm.prof_phase_begin("refine:residual");
   const RowChunk rows = my_rows(comm, n);
   std::vector<double> r_local(rows.chunk, 0.0);
+  std::vector<double> a_row(n);
   for (std::size_t i = rows.r0; i < rows.r1; ++i) {
+    linalg::system_row(options.seed, n, i, 0, a_row);
     double sum = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-      sum += options.entry_scale *
-             linalg::system_entry(options.seed, n, i, j) * x[j];
+      sum += options.entry_scale * a_row[j] * x[j];
     }
     r_local[i - rows.r0] = b[i] - sum;
   }
@@ -81,11 +82,12 @@ double matrix_norm(xmpi::Comm& comm, const GeppMixedOptions& options) {
   comm.prof_phase_begin("refine:norms");
   const RowChunk rows = my_rows(comm, n);
   double local_max = 0.0;
+  std::vector<double> a_row(n);
   for (std::size_t i = rows.r0; i < rows.r1; ++i) {
+    linalg::system_row(options.seed, n, i, 0, a_row);
     double row_sum = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-      row_sum += std::fabs(options.entry_scale *
-                           linalg::system_entry(options.seed, n, i, j));
+      row_sum += std::fabs(options.entry_scale * a_row[j]);
     }
     local_max = std::max(local_max, row_sum);
   }

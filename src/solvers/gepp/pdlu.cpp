@@ -180,12 +180,18 @@ Factors<T> generate(Grid& grid, std::uint64_t seed, double entry_scale) {
   Factors<T> f{std::vector<std::size_t>(n, 0),
                linalg::BasicMatrix<T>(std::max<std::size_t>(lrows, 1),
                                       std::max<std::size_t>(lcols, 1))};
+  // A local row is one contiguous global segment per nb-wide column block.
+  const std::size_t nb = grid.desc.nb;
+  std::vector<double> segment(nb);
   for (std::size_t li = 0; li < lrows; ++li) {
     const std::size_t gi = grid.desc.global_row(li, grid.myrow);
-    for (std::size_t lj = 0; lj < lcols; ++lj) {
-      const std::size_t gj = grid.desc.global_col(lj, grid.mycol);
-      f.local(li, lj) = static_cast<T>(
-          entry_scale * linalg::system_entry(seed, n, gi, gj));
+    for (std::size_t lj0 = 0; lj0 < lcols; lj0 += nb) {
+      const std::size_t len = std::min(nb, lcols - lj0);
+      linalg::system_row(seed, n, gi, grid.desc.global_col(lj0, grid.mycol),
+                         std::span<double>(segment.data(), len));
+      for (std::size_t k = 0; k < len; ++k) {
+        f.local(li, lj0 + k) = static_cast<T>(entry_scale * segment[k]);
+      }
     }
   }
   grid.world.memory_touch(static_cast<double>(f.local.size_bytes()));

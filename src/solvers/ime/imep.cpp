@@ -127,10 +127,7 @@ ImepResult solve_imep(xmpi::Comm& comm, const ImepOptions& options) {
   // the engine's daxpy_chain.
   linalg::Matrix local(std::max<std::size_t>(ncols, 1), n);
   for (std::size_t k = 0; k < ncols; ++k) {
-    const std::size_t j = my_cols[k];
-    for (std::size_t i = 0; i < n; ++i) {
-      local(k, i) = linalg::system_entry(options.seed, n, j, i);
-    }
+    linalg::system_row(options.seed, n, my_cols[k], 0, local.row(k));
   }
   comm.memory_touch(static_cast<double>(local.size_bytes()));
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -23,7 +24,12 @@
 #include "batch/runner.hpp"
 #include "batch/spec.hpp"
 #include "batch/store.hpp"
+#include "hwmodel/placement.hpp"
+#include "solvers/gepp/mixed.hpp"
+#include "solvers/gepp/pdgesv.hpp"
+#include "solvers/ime/imep.hpp"
 #include "support/error.hpp"
+#include "xmpi/runtime.hpp"
 
 namespace plin::batch {
 namespace {
@@ -1027,6 +1033,87 @@ TEST(RunnerTest, CgRecordResidualIsPinned) {
   ASSERT_EQ(record.repetitions.size(), 1u);
   EXPECT_EQ(record.repetitions[0].cg_iters, 37);
   EXPECT_EQ(record.repetitions[0].residual, 0x1.d1380fdb3e479p-51);
+}
+
+/// FNV-1a 64 over the bytes of a solution vector.
+std::uint64_t x_digest(const std::vector<double>& x) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(x.data());
+  for (std::size_t i = 0; i < x.size() * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// The solution rank 0 holds after solving `spec`'s system with the solver
+/// its algorithm and precision select, as run_job calls it.
+std::vector<double> dense_solution(const JobSpec& spec) {
+  xmpi::RunConfig config;
+  config.machine = machine_from_name(spec.machine);
+  config.placement =
+      hw::make_placement(spec.ranks, spec.layout, config.machine);
+  std::vector<double> x;
+  xmpi::Runtime::run(config, [&](xmpi::Comm& comm) {
+    std::vector<double> mine;
+    if (spec.algorithm == perfsim::Algorithm::kIme) {
+      solvers::ImepOptions opt;
+      opt.n = spec.n;
+      opt.seed = spec.seed;
+      mine = solvers::solve_imep(comm, opt).x;
+    } else if (spec.precision == perfsim::Precision::kMixed) {
+      solvers::GeppMixedOptions opt;
+      opt.n = spec.n;
+      opt.seed = spec.seed;
+      opt.nb = spec.nb;
+      mine = solvers::solve_gepp_mixed(comm, opt).x;
+    } else {
+      solvers::PdgesvOptions opt;
+      opt.n = spec.n;
+      opt.seed = spec.seed;
+      opt.nb = spec.nb;
+      mine = solvers::solve_pdgesv(comm, opt).x;
+    }
+    if (comm.rank() == 0) x = std::move(mine);
+  });
+  return x;
+}
+
+TEST(RunnerTest, DenseRecordResidualsArePinned) {
+  // The dense residual check streams the reference system one generated
+  // row at a time instead of materializing it, and the solvers generate
+  // their local pieces row-wise. The residual bits are those the
+  // full-matrix check recorded; the digests pin each solution.
+  struct Pin {
+    perfsim::Algorithm algorithm;
+    perfsim::Precision precision;
+    double residual;
+    std::uint64_t x;
+  };
+  const Pin pins[] = {
+      {perfsim::Algorithm::kScalapack, perfsim::Precision::kFp64,
+       0x1.c1f3feccf8877p-59, 0xada410c9c798e686ULL},
+      {perfsim::Algorithm::kScalapack, perfsim::Precision::kMixed,
+       0x1.473d166686346p-61, 0x2545c00d9c5ed045ULL},
+      {perfsim::Algorithm::kIme, perfsim::Precision::kFp64,
+       0x1.990c5c0027c08p-58, 0x5023389f766a8b2fULL},
+  };
+  for (const Pin& pin : pins) {
+    JobSpec spec;
+    spec.machine = "mini:8x4";
+    spec.algorithm = pin.algorithm;
+    spec.precision = pin.precision;
+    spec.n = 256;
+    spec.ranks = 4;
+    spec.seed = 5;
+    SCOPED_TRACE(algorithm_token(spec.algorithm) +
+                 std::string(pin.precision == perfsim::Precision::kMixed
+                                 ? "/mixed"
+                                 : ""));
+    const JobRecord record = execute_job(spec);
+    ASSERT_EQ(record.repetitions.size(), 1u);
+    EXPECT_EQ(record.repetitions[0].residual, pin.residual);
+    EXPECT_EQ(x_digest(dense_solution(spec)), pin.x);
+  }
 }
 
 TEST(RunnerTest, MixedPrecisionRejectsNonGeppAlgorithms) {

@@ -8,6 +8,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "linalg/blockcyclic.hpp"
 #include "linalg/generate.hpp"
@@ -309,6 +313,71 @@ TEST(GenerateTest, EntryFunctionMatchesMaterializedMatrix) {
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_DOUBLE_EQ(b[i], rhs_entry(3, n, i));
   }
+}
+
+TEST(GenerateTest, SystemRowIsBitIdenticalToSystemEntry) {
+  Rng rng(77);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{1536}}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::uint64_t seed = rng.next_u64();
+      // Rows at both ends and one in the middle; segments that hold the
+      // diagonal inside, at either end or not at all, plus the full row
+      // and an empty span.
+      for (const std::size_t i : {std::size_t{0}, n / 2, n - 1}) {
+        std::vector<std::pair<std::size_t, std::size_t>> segments = {
+            {0, n}, {i, 1}, {i, n - i}, {0, i + 1}, {0, i}, {i + 1, n - i - 1},
+            {n, 0}, {n / 3, 0}};
+        if (i > 0 && i + 1 < n) segments.emplace_back(i - 1, 3);
+        for (int s = 0; s < 6; ++s) {
+          const std::size_t j0 = rng.next_u64() % n;
+          segments.emplace_back(j0, rng.next_u64() % (n - j0 + 1));
+        }
+        for (const auto& [j0, len] : segments) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " i=" + std::to_string(i) +
+                       " j0=" + std::to_string(j0) +
+                       " len=" + std::to_string(len));
+          // One sentinel past the span: system_row writes exactly len values.
+          std::vector<double> out(len + 1, -7.0);
+          system_row(seed, n, i, j0, std::span<double>(out.data(), len));
+          for (std::size_t k = 0; k < len; ++k) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(out[k]),
+                      std::bit_cast<std::uint64_t>(
+                          system_entry(seed, n, i, j0 + k)))
+                << "k=" << k;
+          }
+          EXPECT_EQ(out[len], -7.0);
+        }
+      }
+    }
+  }
+}
+
+TEST(GenerateTest, GeneratedResidualEqualsMaterializedScaledResidual) {
+  Rng rng(78);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{300}}) {
+    const std::uint64_t seed = rng.next_u64();
+    const Matrix a = generate_system_matrix(seed, n);
+    const std::vector<double> b = generate_rhs(seed, n);
+    // A near-solution (one Jacobi sweep from zero: small but nonzero
+    // residuals), an arbitrary vector and x = 0 (the denom == 0 branch).
+    std::vector<double> jacobi(n);
+    for (std::size_t i = 0; i < n; ++i) jacobi[i] = b[i] / a(i, i);
+    std::vector<double> noise(n);
+    for (double& v : noise) v = rng.uniform(-3.0, 3.0);
+    const std::vector<double> zero(n, 0.0);
+    const std::vector<double>* const xs[] = {&jacobi, &noise, &zero};
+    for (const std::vector<double>* x : xs) {
+      SCOPED_TRACE("n=" + std::to_string(n));
+      const double expected = scaled_residual(a.view(), *x, b);
+      const double streamed = generated_residual(seed, n, *x, b);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(streamed),
+                std::bit_cast<std::uint64_t>(expected))
+          << streamed << " vs " << expected;
+    }
+  }
+  EXPECT_THROW(generated_residual(1, 0, {}, {}), Error);
+  const std::vector<double> short_x(3, 0.0);
+  EXPECT_THROW(generated_residual(1, 4, short_x, generate_rhs(1, 4)), Error);
 }
 
 // ---- I/O ---------------------------------------------------------------------
